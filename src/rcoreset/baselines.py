@@ -10,28 +10,17 @@ weight n and are deterministic under a fixed seed.
 from __future__ import annotations
 
 import operator
-from enum import Enum
 
 import numpy as np
 
-from rcoreset.core import CenterSet, WeightedSet, as_points, outlier_split
-from rcoreset.coreset_nd import build_inlier_coreset
+from rcoreset.core import CenterSet, WeightedSet, _nearest_dist_pow, as_points, outlier_split
+from rcoreset.coreset_nd import _sensitivity_draw, build_inlier_coreset
 
 __all__ = [
-    "BaselineKind",
-    "build_baseline",
     "build_hjlw23",
     "build_hllw25",
     "build_uniform",
 ]
-
-
-class BaselineKind(str, Enum):
-    """Tags for the reference builders."""
-
-    HJLW23 = "HJLW23"
-    HLLW25 = "HLLW25"
-    UNIFORM = "UNIFORM"
 
 
 def _split_far_near(P, m: int, C_star, z: int):
@@ -52,14 +41,10 @@ def _ring_coarse_sample(P_I: np.ndarray, C: CenterSet, size: int, seed) -> Weigh
     average score, flattening the distribution inside each ring.
     """
     n_i = len(P_I)
-    diffs = P_I[:, None, :] - C.centers[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-    dmin = np.sqrt(np.min(d2, axis=1))
-    dpow = dmin if C.z == 1 else dmin**2
+    _, dpow = _nearest_dist_pow(P_I, C.centers, C.z)
+    scores = dpow
     total = float(np.sum(dpow))
-    if total <= 0.0:
-        probs = np.full(n_i, 1.0 / n_i)
-    else:
+    if total > 0.0:
         mean_pow = total / n_i
         with np.errstate(divide="ignore"):
             ring = np.floor(np.log2(dpow / mean_pow))
@@ -68,14 +53,8 @@ def _ring_coarse_sample(P_I: np.ndarray, C: CenterSet, size: int, seed) -> Weigh
         for level in np.unique(ring):
             mask = ring == level
             scores[mask] = float(np.mean(dpow[mask]))
-        probs = 0.5 * (1.0 / n_i + scores / float(np.sum(scores)))
-        probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(n_i, size=size, replace=True, p=probs)
-    uniq, counts = np.unique(draws, return_counts=True)
-    weights = counts / (size * probs[uniq])
-    weights *= n_i / weights.sum()
-    return WeightedSet(P_I[uniq], weights)
+    rows, weights = _sensitivity_draw(scores, size, np.random.default_rng(seed))
+    return WeightedSet(P_I[rows], weights)
 
 
 def _with_kept_outliers(L_star: np.ndarray, S_I: WeightedSet) -> WeightedSet:
@@ -125,21 +104,3 @@ def build_uniform(P, target_size: int, seed) -> WeightedSet:
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=target_size, replace=False))
     return WeightedSet(points[idx], np.full(target_size, n / target_size))
-
-
-def build_baseline(
-    kind: BaselineKind | str,
-    P,
-    m: int,
-    k: int,
-    z: int,
-    target_size: int,
-    C_star,
-    seed,
-) -> WeightedSet:
-    """Dispatch a baseline build by tag."""
-    kind = BaselineKind(kind)
-    if kind is BaselineKind.UNIFORM:
-        return build_uniform(P, target_size, seed)
-    builder = build_hjlw23 if kind is BaselineKind.HJLW23 else build_hllw25
-    return builder(P, m, k, z, target_size, C_star, seed)

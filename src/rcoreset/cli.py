@@ -19,23 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcoreset.baselines import build_baseline
+from rcoreset import instances
 from rcoreset.core import AssumptionViolationError, WeightedSet, as_points
 from rcoreset.coreset1d import build_robust_1d
-from rcoreset.coreset_nd import (
-    NdCoresetConfig,
-    build_robust_kz,
-    check_assumptions,
-    split_sample_sizes,
-)
+from rcoreset.coreset_nd import NdCoresetConfig, build_robust_kz, check_assumptions
 from rcoreset.evaluation import (
     BuilderFn,
+    default_builders,
     empirical_error,
     reports_to_csv,
     speedup_report,
     sweep_size_error,
 )
-from rcoreset.instances import InstanceSpec, generate_instance
 from rcoreset.solver import lloyd_with_outliers
 
 __all__ = [
@@ -59,7 +54,6 @@ EXIT_ASSUMPTION = 3
 EXIT_IO = 4
 
 _BUILDERS = ("ours1d", "oursnd", "hjlw23", "hllw25", "uniform")
-_FAMILIES = ("lb1d", "obstacle", "ratio", "gauss")
 
 
 class DataFormatError(ValueError):
@@ -216,49 +210,39 @@ def _approx_centers(P: np.ndarray, cfg: RunConfig):
     return best.centers
 
 
-def _size_builder(tag: str, C_star, eps: float) -> BuilderFn:
-    """A size-targeted builder for the sweep/eval/bench commands."""
-    if tag == "oursnd":
-
-        def build(P, m, k, z, size, seed):
-            s_o, s_i = split_sample_sizes(size, m)
-            nd = NdCoresetConfig(
-                eps=eps,
-                outlier_sample_size=max(1, s_o),
-                inlier_sample_size=s_i,
-                seed=seed,
-            )
-            return build_robust_kz(P, m, k, z, nd, C_star)
-
-        return build
-
-    def build(P, m, k, z, size, seed):
-        return build_baseline(tag.upper(), P, m, k, z, size, C_star, seed)
-
-    return build
+def _size_builders(tags, C_star) -> dict[str, BuilderFn]:
+    """The registry's size-targeted builders under their CLI tags."""
+    registry = default_builders(C_star)
+    return {tag: registry["ours" if tag == "oursnd" else tag] for tag in tags}
 
 
-def _build_coreset(P: np.ndarray, cfg: RunConfig, tag: str, seed) -> WeightedSet:
-    """One coreset per the build command's flags."""
+def _coreset_builder(P: np.ndarray, cfg: RunConfig, tag: str):
+    """The coreset the build flags ask for, as a function of the seed.
+
+    Builders that need approximate centers get them solved here, once,
+    and every seed reuses them.
+    """
     if tag == "ours1d":
         if P.shape[1] != 1:
             raise ValueError(f"ours1d needs 1-d data, got d={P.shape[1]}")
         if cfg.eps is None:
             raise ValueError("ours1d needs --eps (its size is not a row target)")
-        return build_robust_1d(
-            np.sort(P[:, 0]), cfg.m, cfg.eps, allow_small_n=cfg.allow_small_n
+        pts = np.sort(P[:, 0])
+        return lambda seed: build_robust_1d(
+            pts, cfg.m, cfg.eps, allow_small_n=cfg.allow_small_n
         )
     if tag == "oursnd" and cfg.size is None:
         if cfg.eps is None:
             raise ValueError("oursnd needs --size or --eps")
-        nd = NdCoresetConfig(eps=cfg.eps, seed=seed)
-        return build_robust_kz(P, cfg.m, cfg.k, cfg.z, nd, _approx_centers(P, cfg))
+        C_star = _approx_centers(P, cfg)
+        return lambda seed: build_robust_kz(
+            P, cfg.m, cfg.k, cfg.z, NdCoresetConfig(eps=cfg.eps, seed=seed), C_star
+        )
     if cfg.size is None:
         raise ValueError(f"{tag} needs --size")
     C_star = None if tag == "uniform" else _approx_centers(P, cfg)
-    return _size_builder(tag, C_star, cfg.eps or 0.1)(
-        P, cfg.m, cfg.k, cfg.z, cfg.size, seed
-    )
+    build = _size_builders([tag], C_star)[tag]
+    return lambda seed: build(P, cfg.m, cfg.k, cfg.z, cfg.size, seed)
 
 
 def _cmd_generate(cfg: RunConfig, out) -> int:
@@ -268,7 +252,7 @@ def _cmd_generate(cfg: RunConfig, out) -> int:
         raise ValueError("generate needs --n")
     if cfg.output is None:
         raise ValueError("generate needs --output")
-    spec = InstanceSpec(
+    spec = instances.InstanceSpec(
         family=cfg.family,
         n=cfg.n,
         m=cfg.m,
@@ -278,7 +262,7 @@ def _cmd_generate(cfg: RunConfig, out) -> int:
         seed=cfg.seed,
         contamination_fraction=cfg.contaminate,
     )
-    points = generate_instance(spec)
+    points = instances.generate_instance(spec)
     write_points_csv(cfg.output, points, cfg.seed)
     print(
         f"generated {cfg.family}: {len(points)} points, d={points.shape[1]} "
@@ -294,7 +278,7 @@ def _cmd_build(cfg: RunConfig, out) -> int:
     if len(cfg.builders) != 1:
         raise ValueError("build needs exactly one --builder")
     P = parse_dataset(cfg.input)
-    S = _build_coreset(P, cfg, cfg.builders[0], (cfg.seed, 0))
+    S = _coreset_builder(P, cfg, cfg.builders[0])((cfg.seed, 0))
     write_coreset_csv(cfg.output, S, cfg.seed)
     print(
         f"built {cfg.builders[0]}: {len(S)} rows, total weight {S.total_weight:.17g} "
@@ -311,10 +295,11 @@ def _cmd_eval(cfg: RunConfig, out) -> int:
         raise ValueError("eval needs exactly one --builder")
     tag = cfg.builders[0]
     P = parse_dataset(cfg.input)
+    build = _coreset_builder(P, cfg, tag)
     lines = ["builder,trial,coreset_rows,error,skipped_centers,seed"]
     errors = []
     for trial in range(cfg.trials):
-        S = _build_coreset(P, cfg, tag, (cfg.seed, trial, 0))
+        S = build((cfg.seed, trial, 0))
         rep = empirical_error(
             P, S, cfg.m, cfg.k, cfg.z,
             num_centers=cfg.centers, seed=(cfg.seed, trial, 1), builder=tag,
@@ -342,9 +327,7 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
     if "ours1d" in tags:
         raise ValueError("ours1d has no size target; sweep supports the nd builders")
     P = parse_dataset(cfg.input)
-    C_star = _approx_centers(P, cfg)
-    eps = cfg.eps if cfg.eps is not None else 0.1
-    builders = {tag: _size_builder(tag, C_star, eps) for tag in tags}
+    builders = _size_builders(tags, _approx_centers(P, cfg))
     result = sweep_size_error(
         P, cfg.m, cfg.k, cfg.z, list(cfg.sizes), builders,
         trials=cfg.trials, seed=cfg.seed, num_centers=cfg.centers,
@@ -366,9 +349,8 @@ def _cmd_bench(cfg: RunConfig, out) -> int:
     if "ours1d" in tags:
         raise ValueError("ours1d has no size target; bench supports the nd builders")
     P = parse_dataset(cfg.input)
-    C_star = _approx_centers(P, cfg)
-    eps = cfg.eps if cfg.eps is not None else 0.1
-    jobs = [(tag, _size_builder(tag, C_star, eps), cfg.size) for tag in tags]
+    builders = _size_builders(tags, _approx_centers(P, cfg))
+    jobs = [(tag, build, cfg.size) for tag, build in builders.items()]
     reports = speedup_report(P, cfg.m, cfg.k, cfg.z, jobs, seed=cfg.seed)
     table = reports_to_csv(reports)
     print(table, end="", file=out)
@@ -474,7 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--allow-small-n", action="store_true",
             help="build even when n < 4m (guarantees void)",
         )
-        p.add_argument("--family", choices=_FAMILIES, help="instance family (generate)")
+        p.add_argument(
+            "--family", choices=instances._FAMILIES, help="instance family (generate)"
+        )
         p.add_argument("--contaminate", type=float, default=0.0, metavar="FRACTION",
                        help="replace this fraction with heavy-tailed noise")
     return parser

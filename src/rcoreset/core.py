@@ -147,29 +147,36 @@ def _check_dims(points: np.ndarray, centers: CenterSet) -> None:
         )
 
 
-def _dist_pow(points: np.ndarray, centers: CenterSet) -> np.ndarray:
-    """dist(p, C)^z for every point: the min over centers, elementwise.
+def _nearest_dist_pow(
+    points: np.ndarray, centers: np.ndarray, z: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center per point (ties to the lower index) and dist(p, C)^z.
 
-    Distances are formed from explicit coordinate differences (one pass
-    per center), which avoids the cancellation error of the inner-product
-    expansion used by the batched evaluators.
+    Distances are formed from explicit coordinate differences, one pass
+    per center, which avoids the cancellation error of the inner-product
+    expansion used by the batched evaluators and keeps the temporaries
+    at the size of ``points`` whatever the number of centers.
     """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0)
+    nearest = np.zeros(len(points), dtype=np.intp)
     best = None
-    for c in centers.centers:
+    for j, c in enumerate(centers):
         diff = points - c
         d2 = np.einsum("ij,ij->i", diff, diff)
-        best = d2 if best is None else np.minimum(best, d2)
-    if centers.z == 1:
-        return np.sqrt(best)
-    return best
+        if best is None:
+            best = d2
+        else:
+            closer = d2 < best
+            nearest[closer] = j
+            best[closer] = d2[closer]
+    return nearest, (np.sqrt(best) if z == 1 else best)
 
 
 def _canonical_order(dist_pow: np.ndarray) -> np.ndarray:
-    """Indices sorted by (distance, dataset index), both ascending."""
-    return np.lexsort((np.arange(len(dist_pow)), dist_pow))
+    """Indices sorted by (distance, dataset index), both ascending.
+
+    A stable sort keeps equal distances in index order.
+    """
+    return np.argsort(dist_pow, kind="stable")
 
 
 def _as_outlier_count(m, limit: float, what: str):
@@ -188,7 +195,7 @@ def robust_cost(P, C: CenterSet, m: int) -> float:
     _check_dims(points, C)
     m = operator.index(m)
     _as_outlier_count(m, len(points), "|P|")
-    dpow = _dist_pow(points, C)
+    dpow = _nearest_dist_pow(points, C.centers, C.z)[1]
     keep = len(points) - m
     if keep == 0:
         return 0.0
@@ -203,48 +210,59 @@ def robust_cost_weighted(S: WeightedSet, C: CenterSet, m: float) -> float:
     0 <= w' <= w with total w(S) - m; the minimiser keeps the nearest
     weight greedily and splits at most one point fractionally.
     """
-    cost, _, _ = _greedy_fill(S, C, m)
+    cost, _, _ = _weighted_fill(S, C, m)
     return cost
 
 
 def inlier_assignment(S: WeightedSet, C: CenterSet, m: float) -> InlierAssignment:
     """The weight function w' achieving robust_cost_weighted(S, C, m)."""
-    _, kept, partial = _greedy_fill(S, C, m)
+    _, kept, partial = _weighted_fill(S, C, m)
     return InlierAssignment(kept_weight=kept, partial_index=partial)
 
 
 def _greedy_fill(
+    dpow: np.ndarray, w: np.ndarray, budget: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fill a weight budget nearest-first, splitting at most one point.
+
+    Returns the canonical order, the kept weight per point and the
+    number of leading points in that order that are kept whole; the
+    point after them, if any, keeps the remainder of the budget.
+    """
+    order = _canonical_order(dpow)
+    w_sorted = w[order]
+    cum = np.cumsum(w_sorted)
+    full = int(np.searchsorted(cum, budget, side="right"))
+    kept = np.zeros(len(w))
+    kept[order[:full]] = w_sorted[:full]
+    if full < len(w):
+        rem = budget - (cum[full - 1] if full else 0.0)
+        kept[order[full]] = min(max(rem, 0.0), float(w_sorted[full]))
+    return order, kept, full
+
+
+def _weighted_fill(
     S: WeightedSet, C: CenterSet, m: float
 ) -> tuple[float, np.ndarray, int | None]:
-    """Fill the inlier budget w(S) - m nearest-first; return (cost, w', partial)."""
+    """Keep w(S) - m units of weight nearest-first; return (cost, w', partial)."""
     _check_dims(S.points, C)
     total = S.total_weight
     m = float(_as_outlier_count(float(m), total, "w(S)"))
-    dpow = _dist_pow(S.points, C)
-    s = len(S)
-    kept = np.zeros(s)
+    dpow = _nearest_dist_pow(S.points, C.centers, C.z)[1]
     if m == 0.0:
         # Shortcut keeps exact equality with the unweighted evaluator.
-        np.copyto(kept, S.weights)
         order = _canonical_order(dpow)
         cost = float(np.sum(S.weights[order] * dpow[order]))
-        return cost, kept, None
-    budget = total - m
-    order = _canonical_order(dpow)
-    w_sorted = S.weights[order]
-    cum = np.cumsum(w_sorted)
-    full = int(np.searchsorted(cum, budget, side="right"))
-    kept[order[:full]] = w_sorted[:full]
-    cost = float(np.sum(w_sorted[:full] * dpow[order[:full]]))
+        return cost, S.weights.copy(), None
+    order, kept, full = _greedy_fill(dpow, S.weights, total - m)
+    cost = float(np.sum(kept[order[:full]] * dpow[order[:full]]))
     partial: int | None = None
-    if full < s:
-        rem = budget - (cum[full - 1] if full else 0.0)
-        rem = min(max(rem, 0.0), float(w_sorted[full]))
+    if full < len(S):
+        idx = int(order[full])
+        rem = float(kept[idx])
         if rem > 0.0:
-            idx = int(order[full])
-            kept[idx] = rem
             cost += rem * float(dpow[idx])
-            if rem < float(w_sorted[full]):
+            if rem < float(S.weights[idx]):
                 partial = idx
     return cost, kept, partial
 
@@ -260,7 +278,7 @@ def outlier_split(P, C: CenterSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     _check_dims(points, C)
     m = operator.index(m)
     _as_outlier_count(m, len(points), "|P|")
-    dpow = _dist_pow(points, C)
+    dpow = _nearest_dist_pow(points, C.centers, C.z)[1]
     order = _canonical_order(dpow)
     keep = len(points) - m
     return np.sort(order[:keep]), np.sort(order[keep:])
@@ -297,6 +315,25 @@ def _dist_pow_batch(points: np.ndarray, flat_centers: np.ndarray, z: int) -> np.
     return np.sqrt(d2) if z == 1 else d2
 
 
+def _shift_to_batch_mean(
+    points: np.ndarray, batch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and center batch relative to the mean of the centers.
+
+    The inner-product expansion in _dist_pow_batch cancels badly when
+    the coordinates are large next to the distances.  Candidate centers
+    are drawn from the data, so shifting both sides by their mean keeps
+    the error at float64 roundoff wherever the data sits.  The shift
+    depends on the centers alone, so a dataset and a coreset evaluated
+    at the same batch move alike, and rows they share keep equal
+    distances.  The 1-d path takes exact differences and is left as is.
+    """
+    if points.shape[1] == 1:
+        return points, batch
+    ref = batch.reshape(-1, batch.shape[2]).mean(axis=0)
+    return points - ref, batch - ref
+
+
 def _batch_chunks(n: int, k: int, T: int, budget_floats: float = 1.6e7) -> int:
     """Centers per chunk keeping the (chunk*k, n) temporaries bounded."""
     return max(1, min(T, int(budget_floats / max(n * k, 1))))
@@ -319,6 +356,7 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     if keep == 0:
         costs.fill(0.0)
         return costs
+    points, batch = _shift_to_batch_mean(points, batch)
     step = _batch_chunks(n, k, T)
     for lo in range(0, T, step):
         hi = min(lo + step, T)
@@ -342,11 +380,12 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
     s = len(S)
     budget = total - m
     costs = np.empty(T)
+    points, batch = _shift_to_batch_mean(S.points, batch)
     step = _batch_chunks(s, k, T)
     for lo in range(0, T, step):
         hi = min(lo + step, T)
         flat = batch[lo:hi].reshape(-1, S.dim)
-        dpow = _dist_pow_batch(S.points, flat, z).reshape(hi - lo, k, s)
+        dpow = _dist_pow_batch(points, flat, z).reshape(hi - lo, k, s)
         dmin = dpow.min(axis=1).T
         order = np.argsort(dmin, axis=0, kind="stable")
         d_s = np.take_along_axis(dmin, order, axis=0)

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcoreset.core import CenterSet, WeightedSet, as_points, outlier_split
+from rcoreset.core import (
+    CenterSet,
+    WeightedSet,
+    _nearest_dist_pow,
+    as_points,
+    dist,
+    outlier_split,
+)
 
 __all__ = [
     "AssumptionReport",
@@ -34,7 +41,6 @@ __all__ = [
     "build_inlier_coreset",
     "build_robust_kz",
     "build_robust_kz_full",
-    "build_robust_nd",
     "check_assumptions",
     "evaluate_conditions",
     "sample_outlier_coreset",
@@ -155,15 +161,6 @@ def _lex_rows(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _nearest_dist_pow(points: np.ndarray, C: CenterSet) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest center per point (ties to the lower index) and dist(p, C)^z."""
-    diffs = points[:, None, :] - C.centers[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)
-    dmin = np.sqrt(d2[np.arange(len(points)), nearest])
-    return nearest, (dmin if C.z == 1 else dmin**2)
-
-
 def sample_outlier_coreset(L_star, size: int, seed) -> WeightedSet:
     """Uniform sample without replacement of the far part, reweighted to it.
 
@@ -219,7 +216,7 @@ def build_inlier_coreset(P_I, C_star, z: int, size: int, seed) -> WeightedSet:
     if len(points) < 1:
         raise ValueError("inlier part must be nonempty")
     C = _as_center_set(C_star, z)
-    _, dpow = _nearest_dist_pow(points, C)
+    _, dpow = _nearest_dist_pow(points, C.centers, z)
     rows, weights = _sensitivity_draw(dpow, size, np.random.default_rng(seed))
     return WeightedSet(points[rows], weights)
 
@@ -357,7 +354,7 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
         S_O = sample_outlier_coreset(L_star, cfg.resolved_outlier_size(points.shape[1]), rng)
     else:
         S_O = None
-    nearest, dpow = _nearest_dist_pow(P_I, C)
+    nearest, dpow = _nearest_dist_pow(P_I, C.centers, z)
     rows, weights = _sensitivity_draw(
         dpow, cfg.resolved_inlier_size(points.shape[1], k, z), rng
     )
@@ -384,11 +381,6 @@ def build_robust_kz(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star) -> 
     return build_robust_kz_full(P, m, k, z, cfg, C_star).coreset
 
 
-def build_robust_nd(P, m: int, cfg: NdCoresetConfig, c_star) -> WeightedSet:
-    """Robust geometric-median coreset (the k=1, z=1 specialization)."""
-    return build_robust_kz(P, m, 1, 1, cfg, c_star)
-
-
 def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:
     """Diagnostic for the structural assumptions at an approximate solution.
 
@@ -406,11 +398,8 @@ def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:
         raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={len(points)}")
     inl_idx, _ = outlier_split(points, C, m)
     P_I = points[inl_idx]
-    diffs = P_I[:, None, :] - C.centers[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)
+    nearest, dmin = _nearest_dist_pow(P_I, C.centers, 1)
     sizes = tuple(int(np.sum(nearest == i)) for i in range(k))
-    dmin = np.sqrt(d2[np.arange(len(P_I)), nearest])
     r_max = float(np.max(dmin)) if len(P_I) else 0.0
     r_bar = float(np.mean(dmin**z)) ** (1.0 / z) if len(P_I) else 0.0
     cond1, cond2 = evaluate_conditions(min(sizes), r_max, r_bar, m, k, z)
@@ -418,7 +407,7 @@ def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:
     for i in range(k):
         for j in range(i + 1, k):
             pair_min = min(sizes[i], sizes[j])
-            gap = float(np.linalg.norm(C.centers[i] - C.centers[j])) ** z
+            gap = dist(C.centers[i], C.centers[j]) ** z
             if pair_min == 0:
                 if m * r_max**z > 0.0:
                     separation_ok = False

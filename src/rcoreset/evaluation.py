@@ -304,7 +304,8 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
     radii = (1.0 - rng.random(num_balls)) * max(diameter, 1e-300)
     total_w = S_O.total_weight
     worst = 0.0
-    step = max(1, int(1.6e7 / max(len(pts) + len(S_O), 1)))
+    # Each chunk makes (rows, step, d) temporaries for both point sets.
+    step = max(1, int(1.6e7 / max((len(pts) + len(S_O)) * pts.shape[1], 1)))
     for start in range(0, num_balls, step):
         c = centers[start : start + step]
         r = radii[start : start + step]

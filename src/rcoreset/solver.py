@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcoreset.core import CenterSet, as_points
+from rcoreset.core import CenterSet, _greedy_fill, _nearest_dist_pow, as_points
 
 __all__ = [
     "SolveResult",
@@ -77,15 +77,6 @@ def _weighted_draw(rng: np.random.Generator, mass: np.ndarray) -> int:
     return int(np.clip(np.searchsorted(cum, r, side="right"), 0, len(mass) - 1))
 
 
-def _dist_pow_to_set(points: np.ndarray, centers: np.ndarray, z: int) -> np.ndarray:
-    best = None
-    for c in centers:
-        diff = points - c
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        best = d2 if best is None else np.minimum(best, d2)
-    return np.sqrt(best) if z == 1 else best
-
-
 def kmeanspp_seed(P, k: int, z: int, seed, weights=None) -> CenterSet:
     """k distinct input points, each round drawn with mass dist(·, chosen)^z.
 
@@ -104,9 +95,7 @@ def kmeanspp_seed(P, k: int, z: int, seed, weights=None) -> CenterSet:
     chosen = [_weighted_draw(rng, w)]
     dpow = None
     for _ in range(1, k):
-        diff = points - points[chosen[-1]]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        latest = np.sqrt(d2) if z == 1 else d2
+        latest = _nearest_dist_pow(points, points[chosen[-1:]], z)[1]
         dpow = latest if dpow is None else np.minimum(dpow, latest)
         mass = dpow * w
         total = float(mass.sum())
@@ -116,21 +105,6 @@ def kmeanspp_seed(P, k: int, z: int, seed, weights=None) -> CenterSet:
             unchosen = np.setdiff1d(np.arange(n), np.array(chosen, dtype=int))
             chosen.append(int(unchosen[rng.integers(len(unchosen))]))
     return CenterSet(points[np.array(chosen, dtype=int)], z=z)
-
-
-def _greedy_budget_fill(dmin_pow: np.ndarray, w: np.ndarray, budget: float) -> np.ndarray:
-    """Kept weight per point: fill budget nearest-first, one fractional split."""
-    kept = np.zeros(len(w))
-    if budget <= 0.0:
-        return kept
-    order = np.argsort(dmin_pow, kind="stable")
-    cum = np.cumsum(w[order])
-    full = int(np.searchsorted(cum, budget, side="right"))
-    kept[order[:full]] = w[order[:full]]
-    if full < len(w):
-        rem = budget - (cum[full - 1] if full else 0.0)
-        kept[order[full]] = min(max(rem, 0.0), w[order[full]])
-    return kept
 
 
 def _weighted_column_median(values: np.ndarray, w: np.ndarray) -> float:
@@ -193,10 +167,8 @@ def lloyd_with_outliers(
 
     def evaluate(ctrs: np.ndarray):
         """Nearest center, its dist^z, kept weight and robust cost."""
-        dpow = np.stack([_dist_pow_to_set(points, c[None, :], z) for c in ctrs], axis=1)
-        nearest = np.argmin(dpow, axis=1)
-        dmin = dpow[np.arange(n), nearest]
-        kept = _greedy_budget_fill(dmin, w, budget)
+        nearest, dmin = _nearest_dist_pow(points, ctrs, z)
+        kept = _greedy_fill(dmin, w, budget)[1]
         return nearest, dmin, kept, float(np.sum(kept * dmin))
 
     nearest, dmin, kept, prev_cost = evaluate(centers)
@@ -216,8 +188,8 @@ def lloyd_with_outliers(
                 new_centers[j] = np.average(cluster, axis=0, weights=cw)
             else:
                 proposal = _coordinate_median(cluster, cw)
-                now = float(np.sum(cw * np.linalg.norm(cluster - centers[j], axis=1)))
-                new = float(np.sum(cw * np.linalg.norm(cluster - proposal, axis=1)))
+                now = float(np.sum(cw * _nearest_dist_pow(cluster, centers[j : j + 1], 1)[1]))
+                new = float(np.sum(cw * _nearest_dist_pow(cluster, proposal[None, :], 1)[1]))
                 if new <= now:
                     new_centers[j] = proposal
         centers = new_centers

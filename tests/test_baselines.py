@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcoreset.baselines import (
-    BaselineKind,
-    build_baseline,
-    build_hjlw23,
-    build_hllw25,
-    build_uniform,
-)
+from rcoreset.baselines import build_hjlw23, build_hllw25, build_uniform
 from rcoreset.core import (
     CenterSet,
     outlier_split,
@@ -173,26 +167,6 @@ class TestBuildUniform:
         S1 = build_uniform(P, 50, seed=(12, 1))
         S2 = build_uniform(P, 50, seed=(12, 1))
         assert np.array_equal(S1.points, S2.points)
-
-
-class TestBuildBaselineDispatch:
-    def test_tags_route_to_matching_builders(self) -> None:
-        P, C_star = small_instance(seed=13)
-        for kind, direct in [
-            (BaselineKind.HJLW23, build_hjlw23(P, 40, 1, 1, 120, C_star, seed=13)),
-            (BaselineKind.HLLW25, build_hllw25(P, 40, 1, 1, 120, C_star, seed=13)),
-        ]:
-            routed = build_baseline(kind, P, 40, 1, 1, 120, C_star, seed=13)
-            assert np.array_equal(routed.points, direct.points)
-            assert np.array_equal(routed.weights, direct.weights)
-        routed = build_baseline("UNIFORM", P, 40, 1, 1, 120, C_star, seed=13)
-        direct = build_uniform(P, 120, seed=13)
-        assert np.array_equal(routed.points, direct.points)
-
-    def test_unknown_tag_rejected(self) -> None:
-        P, C_star = small_instance(seed=14)
-        with pytest.raises(ValueError):
-            build_baseline("NOPE", P, 40, 1, 1, 120, C_star, seed=14)
 
 
 def _trend_setup(seed: int, n: int, d: int, k: int, z: int, m: int, num_centers: int):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from rcoreset import cli
 from rcoreset.cli import (
     EXIT_ASSUMPTION,
     EXIT_INVALID,
@@ -21,6 +22,7 @@ from rcoreset.cli import (
     write_points_csv,
 )
 from rcoreset.core import CenterSet, WeightedSet, robust_cost_weighted_many
+from rcoreset.evaluation import default_builders, empirical_error
 
 
 class TestParseDataset:
@@ -278,6 +280,32 @@ class TestEvalCommand:
             assert fields[5] == "2", "seed echoed in every row"
             assert line in stdout
         assert "mean error over 3 trials" in stdout
+
+    def test_centers_solved_once_for_all_trials(self, gauss_csv, capsys, monkeypatch):
+        solve = cli.lloyd_with_outliers
+        seeds = []
+
+        def counting(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lloyd_with_outliers", counting)
+        code = run_cli("eval", "--input", gauss_csv, "--builder", "oursnd",
+                       "--m", "30", "--k", "2", "--z", "2", "--size", "150",
+                       "--trials", "3", "--centers", "25", "--seed", "2")
+        assert code == EXIT_OK
+        assert seeds == [(2, 11, 0), (2, 11, 1), (2, 11, 2)]
+        P = parse_dataset(gauss_csv)
+        restarts = [solve(P, 2, 30, 2, max_iters=20, seed=s) for s in seeds]
+        C_star = min(restarts, key=lambda r: r.cost).centers
+        build = default_builders(C_star)["ours"]
+        stdout = capsys.readouterr().out
+        for trial in range(3):
+            S = build(P, 30, 2, 2, 150, (2, trial, 0))
+            rep = empirical_error(P, S, 30, 2, 2, num_centers=25, seed=(2, trial, 1))
+            line = (f"oursnd,{trial},{len(S)},{rep.empirical_error:.17g},"
+                    f"{rep.skipped_centers},2")
+            assert line in stdout.splitlines()
 
     def test_deterministic_given_seed(self, gauss_csv, capsys):
         args = ("eval", "--input", gauss_csv, "--builder", "uniform",

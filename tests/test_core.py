@@ -285,3 +285,17 @@ class TestBatchEvaluators:
         assert np.allclose(got_w, want_w, rtol=1e-9, atol=1e-9), (
             f"batched weighted costs diverge: {got_w} vs {want_w}"
         )
+
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e8])
+    def test_many_matches_scalar_far_from_origin(self, offset, z):
+        rng = np.random.default_rng(17)
+        points = rng.normal(size=(2000, 5)) + offset
+        batch = points[rng.choice(2000, size=(20, 3), replace=False)]
+        got = robust_cost_many(points, batch, z, 40)
+        want = [robust_cost(points, CenterSet(c, z=z), 40) for c in batch]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        S = WeightedSet(points[:500], rng.uniform(0.5, 2.0, 500))
+        got_w = robust_cost_weighted_many(S, batch, z, 30.5)
+        want_w = [robust_cost_weighted(S, CenterSet(c, z=z), 30.5) for c in batch]
+        np.testing.assert_allclose(got_w, want_w, rtol=1e-9)

@@ -24,7 +24,6 @@ from rcoreset.coreset_nd import (
     build_inlier_coreset,
     build_robust_kz,
     build_robust_kz_full,
-    build_robust_nd,
     check_assumptions,
     evaluate_conditions,
     sample_outlier_coreset,
@@ -182,7 +181,7 @@ class TestBuildRobustNd:
             d = int(rng.integers(1, 5))
             P = rng.normal(0.0, 3.0, (n, d))
             cfg = NdCoresetConfig(eps=0.3, outlier_sample_size=11, inlier_sample_size=37, seed=1)
-            S = build_robust_nd(P, m, cfg, np.zeros((1, d)))
+            S = build_robust_kz(P, m, 1, 1, cfg, np.zeros((1, d)))
             assert S.total_weight == pytest.approx(float(n), rel=1e-9)
 
     def test_zero_outliers_reduces_to_inlier_sampler(self) -> None:
@@ -193,24 +192,14 @@ class TestBuildRobustNd:
         assert full.outlier_rows is None
         assert full.coreset is full.inlier_rows
 
-    def test_kz_at_k1_z1_matches_nd(self) -> None:
-        rng = np.random.default_rng(10)
-        P = rng.normal(0.0, 2.0, (200, 4))
-        cfg = NdCoresetConfig(eps=0.25, outlier_sample_size=9, inlier_sample_size=31, seed=5)
-        c = np.mean(P, axis=0).reshape(1, 4)
-        a = build_robust_nd(P, 20, cfg, c)
-        b = build_robust_kz(P, 20, 1, 1, cfg, c)
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
     def test_deterministic_and_order_independent(self) -> None:
         rng = np.random.default_rng(11)
         P = rng.normal(0.0, 2.0, (150, 3))
         cfg = NdCoresetConfig(eps=0.3, outlier_sample_size=8, inlier_sample_size=20, seed=13)
         c = np.zeros((1, 3))
-        S1 = build_robust_nd(P, 15, cfg, c)
-        S2 = build_robust_nd(P, 15, cfg, c)
-        S3 = build_robust_nd(P[rng.permutation(150)], 15, cfg, c)
+        S1 = build_robust_kz(P, 15, 1, 1, cfg, c)
+        S2 = build_robust_kz(P, 15, 1, 1, cfg, c)
+        S3 = build_robust_kz(P[rng.permutation(150)], 15, 1, 1, cfg, c)
         for other in (S2, S3):
             np.testing.assert_array_equal(S1.points, other.points)
             np.testing.assert_array_equal(S1.weights, other.weights)
@@ -220,7 +209,7 @@ class TestBuildRobustNd:
         n, d, m, eps = 10_000, 5, 200, 0.1
         P = gaussian_uniform_instance(rng, n, d, m)
         c_star = np.mean(P[: n - m], axis=0).reshape(1, d)
-        S = build_robust_nd(P, m, NdCoresetConfig(eps=eps, seed=3), c_star)
+        S = build_robust_kz(P, m, 1, 1, NdCoresetConfig(eps=eps, seed=3), c_star)
         centers = P[rng.choice(n, 500, replace=False)].reshape(-1, 1, d)
         exact = robust_cost_many(P, centers, 1, m)
         approx = robust_cost_weighted_many(S, centers, 1, m)
@@ -230,7 +219,7 @@ class TestBuildRobustNd:
     def test_invalid_m_rejected(self) -> None:
         cfg = NdCoresetConfig(eps=0.5)
         with pytest.raises(ValueError, match="m"):
-            build_robust_nd(np.zeros((5, 2)), 5, cfg, np.zeros((1, 2)))
+            build_robust_kz(np.zeros((5, 2)), 5, 1, 1, cfg, np.zeros((1, 2)))
 
 
 class TestNearCalibration:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,18 @@ class TestBallRange:
             ball_range_deviation_1d(P_O, S_O)
         with pytest.raises(ValueError, match="num_balls"):
             ball_range_check(P_O, S_O, num_balls=0, seed=0)
+
+    def test_chunk_memory_accounts_for_dimension(self):
+        rng = np.random.default_rng(3)
+        P_O = rng.normal(size=(2000, 10))
+        S_O = WeightedSet(P_O[:200], np.full(200, 10.0))
+        tracemalloc.start()
+        try:
+            ball_range_check(P_O, S_O, num_balls=2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
