@@ -334,6 +334,31 @@ def _shift_to_batch_mean(
     return points - ref, batch - ref
 
 
+def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.ndarray:
+    """First index of the inlier window of ``keep`` points at each center.
+
+    ``xs`` is sorted ascending.  At a center c the nearest ``keep``
+    points form one window xs[s : s + keep], found by evicting the
+    farther end point by point, the right end on distance ties.  That
+    eviction removes xs[i] exactly when c - xs[i] > xs[i + keep] - c.
+    Rounding is monotone, so this test runs true then false along i in
+    float64 as well, and a bisection for its first false index returns
+    the eviction's window exactly, in O(log n) steps for all centers.
+    Needs 1 <= keep <= len(xs).
+    """
+    c = np.asarray(centers, dtype=np.float64).reshape(-1)
+    last = len(xs) - 1
+    lo = np.zeros(len(c), dtype=np.intp)
+    hi = np.full(len(c), len(xs) - keep, dtype=np.intp)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        # mid + keep <= last wherever the search is still open.
+        evict = open_ & (c - xs[mid] > xs[np.minimum(mid + keep, last)] - c)
+        lo = np.where(evict, mid + 1, lo)
+        hi = np.where(open_ & ~evict, mid, hi)
+    return lo
+
+
 def _batch_chunks(n: int, k: int, T: int, budget_floats: float = 1.6e7) -> int:
     """Centers per chunk keeping the (chunk*k, n) temporaries bounded."""
     return max(1, min(T, int(budget_floats / max(n * k, 1))))
@@ -344,6 +369,12 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
 
     Matches per-center calls to robust_cost up to floating-point
     reassociation; meant for evaluation loops over hundreds of centers.
+    On the line with one center per set (d = 1, k = 1) the n - m
+    inliers form one window of the sorted data: the points are sorted
+    once, every window is found by bisection and each center sums the
+    exact differences over its own slice, in O(n log n + T log n +
+    T (n - m)) time and O(n) memory.  Other shapes score every
+    (center, point) pair in bounded chunks.
     """
     points = as_points(P)
     n = len(points)
@@ -355,6 +386,13 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     costs = np.empty(T)
     if keep == 0:
         costs.fill(0.0)
+        return costs
+    if batch.shape[1:] == (1, 1):
+        xs = np.sort(points[:, 0])
+        cs = batch[:, 0, 0]
+        for t, s in enumerate(_line_window_starts(xs, cs, keep)):
+            d = np.abs(xs[s : s + keep] - cs[t])
+            costs[t] = np.sum(d) if z == 1 else np.dot(d, d)
         return costs
     points, batch = _shift_to_batch_mean(points, batch)
     step = _batch_chunks(n, k, T)
@@ -379,6 +417,8 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
     T, k, _ = batch.shape
     s = len(S)
     budget = total - m
+    if s == 0:
+        return np.zeros(T)
     costs = np.empty(T)
     points, batch = _shift_to_batch_mean(S.points, batch)
     step = _batch_chunks(s, k, T)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcoreset.core import AssumptionViolationError, WeightedSet
+from rcoreset.core import AssumptionViolationError, WeightedSet, _line_window_starts
 from rcoreset.solver import robust_median_1d
 
 __all__ = [
@@ -366,26 +366,12 @@ def _buckets_to_weighted_set(buckets: list[Bucket]) -> WeightedSet:
     return WeightedSet(means, counts)
 
 
-def _window_at_center(pts: np.ndarray, center: float, keep: int) -> tuple[int, int]:
-    """Inlier window of the n-keep farthest-out split at a fixed center.
-
-    Excludes the farther end point by point; distance ties evict the
-    larger index first, matching the canonical outlier tie-break.
-    """
-    lo, hi = 0, len(pts) - 1
-    for _ in range(len(pts) - keep):
-        if center - pts[lo] > pts[hi] - center:
-            lo += 1
-        else:
-            hi -= 1
-    return lo, hi
-
-
 def boundary_split(buckets: list[Bucket], P_sorted, m: int) -> list[Bucket]:
     """Realign fringe buckets with the inlier windows of the two boundary centers.
 
-    The windows of centers p_(m+1) and p_(n-m) (1-based) are computed by
-    the same farthest-out eviction as the robust split; any bucket
+    The windows of centers p_(m+1) and p_(n-m) (1-based) are those of
+    the farthest-out eviction of the robust split, right end first on
+    distance ties, found by bisection over the sorted points; any bucket
     partially inside either window is split at the window edge.  At most
     four buckets gain a twin.
     """
@@ -394,10 +380,8 @@ def boundary_split(buckets: list[Bucket], P_sorted, m: int) -> list[Bucket]:
     m = operator.index(m)
     if m == 0:
         return list(buckets)
-    cuts: set[int] = set()
-    for center_idx in (m, n - m - 1):
-        a, b = _window_at_center(pts, float(pts[center_idx]), n - m)
-        cuts.update((a, b + 1))
+    starts = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
+    cuts = {int(q) for q in (*starts, *(starts + n - m))}
     out: list[Bucket] = []
     for bucket in buckets:
         inside = sorted(q for q in cuts if bucket.l < q <= bucket.r)

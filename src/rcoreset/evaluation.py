@@ -7,9 +7,8 @@ candidate centers shared across builders inside a trial so comparisons
 are paired.  Diagnostics cover the ball-range deviation of outlier
 samples (Monte-Carlo in general dimension, exact in 1-d) and the
 per-bucket outlier-count misalignment of 1-d coresets, computed by two
-independent code paths.  The speedup table times solving on a coreset
-against solving on the full data, scoring both center sets on the full
-dataset.
+code paths.  The speedup table times solving on a coreset against
+solving on the full data, scoring both center sets on the full dataset.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from rcoreset.baselines import build_hjlw23, build_hllw25, build_uniform
 from rcoreset.core import (
     CenterSet,
     WeightedSet,
+    _greedy_fill,
     as_points,
     inlier_assignment,
     outlier_split,
@@ -368,24 +368,13 @@ def _coord_runs(rows: np.ndarray, weights: np.ndarray) -> _CoordRuns:
 def _evict_farthest_1d(runs: _CoordRuns, center: float, budget: float) -> np.ndarray:
     """Kept weight per sorted row after evicting all but `budget`, farthest first.
 
-    Ties between the two ends go to the right end, and within a run of
-    equal coordinates the largest row indices are evicted first — both
-    matching the canonical (distance, index) ascending inlier order.
+    Runs are filled nearest-first in one stable pass over their
+    distances, so of two runs at equal distance the left one is kept
+    first, and within a run of equal coordinates the largest row
+    indices are evicted first — both matching the canonical
+    (distance, index) ascending inlier order.
     """
-    kept = runs.run_weight.copy()
-    excess = float(runs.run_weight.sum()) - budget
-    lo, hi = 0, len(kept) - 1
-    while excess > 1e-12 and lo <= hi:
-        g = lo if center - runs.coords[lo] > runs.coords[hi] - center else hi
-        drop = min(excess, kept[g])
-        kept[g] -= drop
-        excess -= drop
-        if kept[g] <= 1e-12:
-            kept[g] = 0.0
-            if g == lo:
-                lo += 1
-            else:
-                hi -= 1
+    _, kept, _ = _greedy_fill(np.abs(runs.coords - center), runs.run_weight, budget)
     # Within each run, kept weight fills rows in ascending index order.
     avail = np.repeat(kept, runs.ends - runs.starts) - runs.prior_within
     return np.minimum(np.clip(avail, 0.0, None), runs.row_weights)
@@ -403,7 +392,9 @@ def misalignment_check(
     For center c, bucket i holds m_i of P's outliers and its coreset
     row carries outlier weight m_i'; the statistic is Σ_i |m_i − m_i'|.
     Computed from the definitions (outlier_split / inlier_assignment)
-    and again with incremental window sweeps; both paths must agree.
+    and again from runs of equal coordinates, each filled nearest-first
+    up to the inlier budget and split over its rows in index order;
+    both paths must agree.
     """
     pts = as_points(P_sorted)[:, 0]
     if np.any(np.diff(pts) < 0):

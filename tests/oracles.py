@@ -112,3 +112,60 @@ def brute_robust_median_1d(points, m: int) -> tuple[float, int, float]:
             best_l = left
     center = pts[best_l + (length - 1) // 2]
     return best_cost, best_l, float(center)
+
+
+def oracle_window_at_center(pts, center: float, keep: int) -> tuple[int, int]:
+    """Inlier window [lo, hi] of sorted pts at a center, by eviction.
+
+    Evicts the farther end point by point; distance ties evict the
+    right end, matching the canonical outlier tie-break.
+    """
+    lo, hi = 0, len(pts) - 1
+    for _ in range(len(pts) - keep):
+        if center - pts[lo] > pts[hi] - center:
+            lo += 1
+        else:
+            hi -= 1
+    return lo, hi
+
+
+def oracle_evict_farthest_1d(coords, run_weight, center: float, budget: float) -> np.ndarray:
+    """Kept weight per run of sorted coordinates, evicting farthest first.
+
+    Two pointers walk in from both ends and drop weight from the
+    farther run until only `budget` is left; ties drop the right end.
+    """
+    kept = np.asarray(run_weight, dtype=float).copy()
+    excess = float(kept.sum()) - budget
+    lo, hi = 0, len(kept) - 1
+    while excess > 1e-12 and lo <= hi:
+        g = lo if center - coords[lo] > coords[hi] - center else hi
+        drop = min(excess, kept[g])
+        kept[g] -= drop
+        excess -= drop
+        if kept[g] <= 1e-12:
+            kept[g] = 0.0
+            if g == lo:
+                lo += 1
+            else:
+                hi -= 1
+    return kept
+
+
+def tie_heavy_line(seed) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted points on a scaled integer grid plus centers to probe them.
+
+    The grid has few distinct values, so equal coordinates and equal
+    distances to both sides are common; the scale runs from 1e-2 to 1e8
+    so the distance comparisons meet rounding.  Centers sit on every
+    point, at every midpoint between distinct points and off the data
+    on both sides.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-2, 9))
+    xs = np.sort(rng.integers(-6, 7, size=int(rng.integers(1, 41)))) * scale
+    distinct = np.unique(xs)
+    midpoints = (distinct[:-1] + distinct[1:]) / 2
+    off = np.array([xs[0] - 2.5 * scale, xs[0] - 0.5 * scale,
+                    xs[-1] + 0.5 * scale, xs[-1] + 7.0 * scale])
+    return xs, np.concatenate([xs, midpoints, off])

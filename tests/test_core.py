@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,14 @@ from rcoreset import (
     robust_cost_weighted,
     robust_cost_weighted_many,
 )
+from rcoreset.core import _line_window_starts
 
-from oracles import oracle_weighted_cost, oracle_weighted_cost_all_integer_m
+from oracles import (
+    oracle_weighted_cost,
+    oracle_weighted_cost_all_integer_m,
+    oracle_window_at_center,
+    tie_heavy_line,
+)
 
 
 @st.composite
@@ -289,13 +297,57 @@ class TestBatchEvaluators:
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e8])
     def test_many_matches_scalar_far_from_origin(self, offset, z):
-        rng = np.random.default_rng(17)
-        points = rng.normal(size=(2000, 5)) + offset
-        batch = points[rng.choice(2000, size=(20, 3), replace=False)]
-        got = robust_cost_many(points, batch, z, 40)
-        want = [robust_cost(points, CenterSet(c, z=z), 40) for c in batch]
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-        S = WeightedSet(points[:500], rng.uniform(0.5, 2.0, 500))
-        got_w = robust_cost_weighted_many(S, batch, z, 30.5)
-        want_w = [robust_cost_weighted(S, CenterSet(c, z=z), 30.5) for c in batch]
-        np.testing.assert_allclose(got_w, want_w, rtol=1e-9)
+        # d = 1 with single centers takes the sorted-window path.
+        for d, k in ((5, 3), (1, 1)):
+            rng = np.random.default_rng(17)
+            points = rng.normal(size=(2000, d)) + offset
+            batch = points[rng.choice(2000, size=(20, k), replace=False)]
+            got = robust_cost_many(points, batch, z, 40)
+            want = [robust_cost(points, CenterSet(c, z=z), 40) for c in batch]
+            np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=f"d={d}")
+            S = WeightedSet(points[:500], rng.uniform(0.5, 2.0, 500))
+            got_w = robust_cost_weighted_many(S, batch, z, 30.5)
+            want_w = [robust_cost_weighted(S, CenterSet(c, z=z), 30.5) for c in batch]
+            np.testing.assert_allclose(got_w, want_w, rtol=1e-9, err_msg=f"d={d}")
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_line_single_inlier_on_a_point_costs_exactly_zero(self, z):
+        rng = np.random.default_rng(5)
+        points = np.sort(rng.uniform(-1e8, 1e8, 1000))
+        batch = points[[0, 17, 500, 999]].reshape(-1, 1, 1)
+        got = robust_cost_many(points, batch, z, len(points) - 1)
+        assert np.array_equal(got, np.zeros(4)), f"keep=1 costs {got}"
+
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_weighted_many_on_empty_set_is_zero(self, d, z):
+        S = WeightedSet(np.zeros((0, d)), np.zeros(0))
+        batch = np.random.default_rng(2).normal(size=(4, 2, d))
+        got = robust_cost_weighted_many(S, batch, z, 0)
+        assert np.array_equal(got, np.zeros(4))
+        assert robust_cost_weighted(S, CenterSet(batch[0], z=z), 0) == 0.0
+
+    def test_line_memory_stays_linear_in_n(self):
+        rng = np.random.default_rng(8)
+        points = np.sort(rng.normal(size=200_000)).reshape(-1, 1)
+        batch = points[rng.choice(200_000, size=200, replace=False)].reshape(-1, 1, 1)
+        tracemalloc.start()
+        try:
+            robust_cost_many(points, batch, 1, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
+class TestLineWindows:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bisection_matches_eviction_loop(self, seed):
+        xs, centers = tie_heavy_line(seed)
+        n = len(xs)
+        keeps = {1, n, *np.random.default_rng(seed).integers(1, n + 1, size=3)}
+        for keep in sorted(int(q) for q in keeps):
+            got = _line_window_starts(xs, centers, keep)
+            want = [oracle_window_at_center(xs, float(c), keep) for c in centers]
+            assert [(int(s), int(s) + keep - 1) for s in got] == want, f"keep={keep}"

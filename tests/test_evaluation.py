@@ -20,6 +20,8 @@ from rcoreset.core import (
 from rcoreset.coreset1d import bucket_stats, build_robust_1d_full
 from rcoreset.evaluation import (
     EvalReport,
+    _coord_runs,
+    _evict_farthest_1d,
     ball_range_check,
     ball_range_deviation_1d,
     default_builders,
@@ -31,6 +33,8 @@ from rcoreset.evaluation import (
     sweep_size_error,
 )
 from rcoreset.solver import lloyd_with_outliers
+
+from oracles import oracle_evict_farthest_1d, tie_heavy_line
 
 
 def unit_coreset(points: np.ndarray) -> WeightedSet:
@@ -370,6 +374,26 @@ class TestMisalignment:
         value = misalignment_check(pts, build.buckets, build.coreset, 100,
                                    [0.0, 5.5, 10.0, 19.0, 25.0])
         assert 0.0 <= value <= 2 * 100
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_run_fill_matches_eviction_loop(self, seed):
+        xs, centers = tie_heavy_line(seed)
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.5:
+            weights = rng.integers(1, 4, size=len(xs)).astype(float)
+        else:
+            weights = rng.uniform(0.1, 3.0, size=len(xs))
+        runs = _coord_runs(xs, weights)
+        total = float(runs.run_weight.sum())
+        budgets = [0.0, total, float(np.floor(rng.uniform(0, total))),
+                   rng.uniform(0, total)]
+        for budget in budgets:
+            for c in centers:
+                got = np.add.reduceat(_evict_farthest_1d(runs, float(c), budget), runs.starts)
+                want = oracle_evict_farthest_1d(runs.coords, runs.run_weight, float(c), budget)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                           err_msg=f"c={c}, budget={budget}")
 
     def test_validation(self):
         pts = np.arange(6.0)
