@@ -298,40 +298,69 @@ def _prepare_center_batch(centers, dim: int) -> np.ndarray:
     return arr
 
 
-def _dist_pow_batch(points: np.ndarray, flat_centers: np.ndarray, z: int) -> np.ndarray:
-    """(T*k, n) matrix of dist^z; inner-product expansion except in 1-d.
+# Floats in one (sets, points) output chunk of the batch evaluators, and
+# in one (centers, points) product block, which stays in cache from the
+# product to the square root.
+_CHUNK_FLOATS = 1.6e7
+_BLOCK_FLOATS = 2**17
 
-    One row per center, so reductions over the points run along the
-    contiguous axis.
+
+def _min_dist_pow_batch(points: np.ndarray, batch: np.ndarray, z: int) -> np.ndarray:
+    """(T, n) matrix of min_j dist(p, c_tj)^z for a (T, k, d) center batch.
+
+    Exact differences on the line.  Otherwise, per block of points, one
+    product gives |c|^2 - 2 c.p, the minimum over each set's k centers
+    is taken, and only then are |p|^2 added and the square root taken.
+    Entries at the expansion's roundoff level, negative ones included,
+    are recomputed from explicit differences: a point on a center gets 0.
     """
-    if points.shape[1] == 1:
-        d = np.abs(flat_centers[:, 0][:, None] - points[:, 0][None, :])
-        return d if z == 1 else d * d
-    d2 = flat_centers @ points.T
-    d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", points, points)[None, :]
-    d2 += np.einsum("ij,ij->i", flat_centers, flat_centers)[:, None]
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2) if z == 1 else d2
+    T, k, d = batch.shape
+    out = np.empty((T, len(points)))
+    if d == 1:
+        np.abs(np.subtract(batch[:, 0], points[:, 0], out=out), out=out)
+        for j in range(1, k):
+            np.minimum(out, np.abs(batch[:, j] - points[:, 0]), out=out)
+        return out if z == 1 else np.square(out, out=out)
+    flat = batch.transpose(1, 0, 2).reshape(-1, d)  # row j*T + t is c_tj
+    c2 = np.einsum("ij,ij->i", flat, flat)
+    lhs = np.column_stack([-2.0 * flat, c2])
+    rhs = np.column_stack([points, np.ones(len(points))])
+    p2 = np.einsum("ij,ij->i", points, points)
+    width = max(1, _BLOCK_FLOATS // (T * k))
+    for lo in range(0, len(points), width):
+        blk = slice(lo, lo + width)
+        prod = (lhs @ rhs[blk].T).reshape(k, T, -1)
+        o = out[:, blk]
+        np.minimum(prod[0], prod[-1], out=o)
+        for j in range(1, k - 1):
+            np.minimum(o, prod[j], out=o)
+        o += p2[blk]
+        # The expansion errs by far less than 2^-20 (|p|^2 + |c|^2).
+        tiny = o <= 2.0**-20 * (p2[blk].max() + c2.max())
+        if tiny.any():
+            t, i = np.nonzero(tiny)
+            diff = points[lo + i][:, None, :] - batch[t]
+            o[t, i] = np.einsum("hjd,hjd->hj", diff, diff).min(axis=1)
+        if z == 1:
+            np.sqrt(o, out=o)
+    return out
 
 
-def _shift_to_batch_mean(
-    points: np.ndarray, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Points and center batch relative to the mean of the centers.
+def _min_dist_pow_chunks(points: np.ndarray, batch: np.ndarray, z: int):
+    """Yield (lo, hi, _min_dist_pow_batch of sets lo:hi) in chunks of sets.
 
-    The inner-product expansion in _dist_pow_batch cancels badly when
-    the coordinates are large next to the distances.  Candidate centers
-    are drawn from the data, so shifting both sides by their mean keeps
-    the error at float64 roundoff wherever the data sits.  The shift
-    depends on the centers alone, so a dataset and a coreset evaluated
-    at the same batch move alike, and rows they share keep equal
-    distances.  The 1-d path takes exact differences and is left as is.
+    Off the line both sides are first shifted by the mean of the
+    centers, which are drawn from the data, so the expansion's error
+    stays at roundoff wherever the data sits.  The shift depends on the
+    centers alone: a dataset and a coreset at the same batch move alike.
     """
-    if points.shape[1] == 1:
-        return points, batch
-    ref = batch.reshape(-1, batch.shape[2]).mean(axis=0)
-    return points - ref, batch - ref
+    if points.shape[1] > 1:
+        ref = batch.reshape(-1, batch.shape[2]).mean(axis=0)
+        points, batch = points - ref, batch - ref
+    T = len(batch)
+    step = max(1, min(T, int(_CHUNK_FLOATS / max(len(points), 1))))
+    for lo in range(0, T, step):
+        yield lo, min(lo + step, T), _min_dist_pow_batch(points, batch[lo : lo + step], z)
 
 
 def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.ndarray:
@@ -359,11 +388,6 @@ def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.nd
     return lo
 
 
-def _batch_chunks(n: int, k: int, T: int, budget_floats: float = 1.6e7) -> int:
-    """Centers per chunk keeping the (chunk*k, n) temporaries bounded."""
-    return max(1, min(T, int(budget_floats / max(n * k, 1))))
-
-
 def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     """robust_cost of P at many center sets; centers shaped (T, k, d).
 
@@ -373,20 +397,21 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     inliers form one window of the sorted data: the points are sorted
     once, every window is found by bisection and each center sums the
     exact differences over its own slice, in O(n log n + T log n +
-    T (n - m)) time and O(n) memory.  Other shapes score every
-    (center, point) pair in bounded chunks.
+    T (n - m)) time and O(n) memory.  Other shapes take each set's
+    minimum over its centers block by block of points, before |p|^2 and
+    the square root, in chunks of sets whose (sets, n) output stays
+    under 1.6e7 floats, besides O(n d) for shifted copies of the points.
     """
     points = as_points(P)
     n = len(points)
     m = operator.index(m)
     _as_outlier_count(m, n, "|P|")
     batch = _prepare_center_batch(centers, points.shape[1])
-    T, k, _ = batch.shape
+    T = len(batch)
     keep = n - m
-    costs = np.empty(T)
     if keep == 0:
-        costs.fill(0.0)
-        return costs
+        return np.zeros(T)
+    costs = np.empty(T)
     if batch.shape[1:] == (1, 1):
         xs = np.sort(points[:, 0])
         cs = batch[:, 0, 0]
@@ -394,18 +419,10 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
             d = np.abs(xs[s : s + keep] - cs[t])
             costs[t] = np.sum(d) if z == 1 else np.dot(d, d)
         return costs
-    points, batch = _shift_to_batch_mean(points, batch)
-    step = _batch_chunks(n, k, T)
-    for lo in range(0, T, step):
-        hi = min(lo + step, T)
-        flat = batch[lo:hi].reshape(-1, points.shape[1])
-        dpow = _dist_pow_batch(points, flat, z).reshape(hi - lo, k, n)
-        dmin = dpow.min(axis=1)
+    for lo, hi, dmin in _min_dist_pow_chunks(points, batch, z):
         if m:
             dmin.partition(keep - 1, axis=1)
-            costs[lo:hi] = dmin[:, :keep].sum(axis=1)
-        else:
-            costs[lo:hi] = dmin.sum(axis=1)
+        costs[lo:hi] = dmin[:, :keep].sum(axis=1)
     return costs
 
 
@@ -414,30 +431,13 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
     total = S.total_weight
     m = float(_as_outlier_count(float(m), total, "w(S)"))
     batch = _prepare_center_batch(centers, S.dim)
-    T, k, _ = batch.shape
-    s = len(S)
-    budget = total - m
-    if s == 0:
-        return np.zeros(T)
-    costs = np.empty(T)
-    points, batch = _shift_to_batch_mean(S.points, batch)
-    step = _batch_chunks(s, k, T)
-    for lo in range(0, T, step):
-        hi = min(lo + step, T)
-        flat = batch[lo:hi].reshape(-1, S.dim)
-        dpow = _dist_pow_batch(points, flat, z).reshape(hi - lo, k, s)
-        dmin = dpow.min(axis=1).T
-        order = np.argsort(dmin, axis=0, kind="stable")
-        d_s = np.take_along_axis(dmin, order, axis=0)
+    costs = np.empty(len(batch))
+    for lo, hi, dmin in _min_dist_pow_chunks(S.points, batch, z):
+        order = np.argsort(dmin.T, axis=0, kind="stable")  # one column per set
+        d_s = np.take_along_axis(dmin.T, order, axis=0)
         w_s = S.weights[order]
-        cum = np.cumsum(w_s, axis=0)
-        full = (cum <= budget).sum(axis=0)  # fully kept points per column
-        wd = np.cumsum(w_s * d_s, axis=0)
-        at = np.maximum(full - 1, 0)[None, :]
-        base = np.where(full > 0, np.take_along_axis(wd, at, axis=0)[0], 0.0)
-        prev = np.where(full > 0, np.take_along_axis(cum, at, axis=0)[0], 0.0)
-        nxt = np.minimum(full, s - 1)[None, :]
-        d_next = np.take_along_axis(d_s, nxt, axis=0)[0]
-        rem = np.where(full < s, np.maximum(budget - prev, 0.0), 0.0)
-        costs[lo:hi] = base + rem * d_next
+        ahead = np.zeros_like(w_s)  # weight sorted ahead of each point
+        np.cumsum(w_s[:-1], axis=0, out=ahead[1:])
+        kept = np.clip(total - m - ahead, 0.0, w_s)
+        costs[lo:hi] = np.einsum("ij,ij->j", kept, d_s)
     return costs

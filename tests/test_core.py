@@ -20,7 +20,12 @@ from rcoreset import (
     robust_cost_weighted,
     robust_cost_weighted_many,
 )
-from rcoreset.core import _line_window_starts
+from rcoreset.core import (
+    _BLOCK_FLOATS,
+    _line_window_starts,
+    _min_dist_pow_batch,
+    _nearest_dist_pow,
+)
 
 from oracles import (
     oracle_weighted_cost,
@@ -319,6 +324,18 @@ class TestBatchEvaluators:
         assert np.array_equal(got, np.zeros(4)), f"keep=1 costs {got}"
 
     @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e8])
+    def test_single_inlier_on_a_point_costs_exactly_zero(self, offset, z):
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(2000, 5)) + offset
+        batch = points[rng.choice(2000, size=(100, 1), replace=False)]
+        got = robust_cost_many(points, batch, z, len(points) - 1)
+        assert np.array_equal(got, np.zeros(100)), f"keep=1 costs {got[got != 0]}"
+        S = WeightedSet(points, np.ones(len(points)))
+        got_w = robust_cost_weighted_many(S, batch, z, len(points) - 1)
+        assert np.array_equal(got_w, np.zeros(100)), f"weighted costs {got_w[got_w != 0]}"
+
+    @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("d", [1, 3])
     def test_weighted_many_on_empty_set_is_zero(self, d, z):
         S = WeightedSet(np.zeros((0, d)), np.zeros(0))
@@ -338,6 +355,37 @@ class TestBatchEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    def test_nd_memory_stays_within_one_output_chunk(self):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(100_000, 10))
+        batch = points[rng.choice(100_000, size=(100, 5), replace=False)]
+        tracemalloc.start()
+        try:
+            robust_cost_many(points, batch, 1, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
+class TestMinDistPowBatch:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_matches_nearest_center_kernel(self, d, k):
+        rng = np.random.default_rng(10 * d + k)
+        T = 6
+        n = 2 * (_BLOCK_FLOATS // (T * k)) + 17  # two full blocks and a partial one
+        points = rng.normal(size=(n, d)) * 3.0
+        batch = rng.normal(size=(T, k, d))
+        batch[0, -1] = points[n - 1]  # a center on a point of the partial block
+        for z in (1, 2):
+            got = _min_dist_pow_batch(points, batch, z)
+            want = np.array([_nearest_dist_pow(points, c, z)[1] for c in batch])
+            if d == 1:
+                assert np.array_equal(got, want), f"z={z}"
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"z={z}")
 
 
 class TestLineWindows:
