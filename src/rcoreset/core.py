@@ -220,25 +220,25 @@ def inlier_assignment(S: WeightedSet, C: CenterSet, m: float) -> InlierAssignmen
     return InlierAssignment(kept_weight=kept, partial_index=partial)
 
 
+def _fill_sorted(w_sorted: np.ndarray, budget: float) -> np.ndarray:
+    """Kept weight when a budget fills weights sorted nearest-first on axis 0.
+
+    Each entry keeps clip(budget - weight sorted ahead of it, 0, w), so
+    the budget fills whole weights nearest-first and splits at most one.
+    """
+    ahead = np.zeros_like(w_sorted)
+    np.cumsum(w_sorted[:-1], axis=0, out=ahead[1:])
+    return np.clip(budget - ahead, 0.0, w_sorted)
+
+
 def _greedy_fill(
     dpow: np.ndarray, w: np.ndarray, budget: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fill a weight budget nearest-first, splitting at most one point.
-
-    Returns the canonical order, the kept weight per point and the
-    number of leading points in that order that are kept whole; the
-    point after them, if any, keeps the remainder of the budget.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical order and the kept weight per point of a budget fill."""
     order = _canonical_order(dpow)
-    w_sorted = w[order]
-    cum = np.cumsum(w_sorted)
-    full = int(np.searchsorted(cum, budget, side="right"))
-    kept = np.zeros(len(w))
-    kept[order[:full]] = w_sorted[:full]
-    if full < len(w):
-        rem = budget - (cum[full - 1] if full else 0.0)
-        kept[order[full]] = min(max(rem, 0.0), float(w_sorted[full]))
-    return order, kept, full
+    kept = np.empty(len(w))
+    kept[order] = _fill_sorted(w[order], budget)
+    return order, kept
 
 
 def _weighted_fill(
@@ -250,20 +250,17 @@ def _weighted_fill(
     m = float(_as_outlier_count(float(m), total, "w(S)"))
     dpow = _nearest_dist_pow(S.points, C.centers, C.z)[1]
     if m == 0.0:
-        # Shortcut keeps exact equality with the unweighted evaluator.
-        order = _canonical_order(dpow)
-        cost = float(np.sum(S.weights[order] * dpow[order]))
-        return cost, S.weights.copy(), None
-    order, kept, full = _greedy_fill(dpow, S.weights, total - m)
-    cost = float(np.sum(kept[order[:full]] * dpow[order[:full]]))
+        # Keeping every weight whole keeps exact equality with the
+        # unweighted evaluator, which a fill to the rounded total may not.
+        order, kept = _canonical_order(dpow), S.weights.copy()
+    else:
+        order, kept = _greedy_fill(dpow, S.weights, total - m)
+    # The kept points lead the canonical order; only the last may be split.
+    inliers = order[: np.count_nonzero(kept)]
+    cost = float(np.sum(kept[inliers] * dpow[inliers]))
     partial: int | None = None
-    if full < len(S):
-        idx = int(order[full])
-        rem = float(kept[idx])
-        if rem > 0.0:
-            cost += rem * float(dpow[idx])
-            if rem < float(S.weights[idx]):
-                partial = idx
+    if len(inliers) and kept[inliers[-1]] < S.weights[inliers[-1]]:
+        partial = int(inliers[-1])
     return cost, kept, partial
 
 
@@ -435,9 +432,6 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
     for lo, hi, dmin in _min_dist_pow_chunks(S.points, batch, z):
         order = np.argsort(dmin.T, axis=0, kind="stable")  # one column per set
         d_s = np.take_along_axis(dmin.T, order, axis=0)
-        w_s = S.weights[order]
-        ahead = np.zeros_like(w_s)  # weight sorted ahead of each point
-        np.cumsum(w_s[:-1], axis=0, out=ahead[1:])
-        kept = np.clip(total - m - ahead, 0.0, w_s)
+        kept = _fill_sorted(S.weights[order], total - m)
         costs[lo:hi] = np.einsum("ij,ij->j", kept, d_s)
     return costs

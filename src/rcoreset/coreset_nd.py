@@ -78,17 +78,16 @@ def split_sample_sizes(target_size: int, m: int) -> tuple[int, int]:
 class NdCoresetConfig:
     """Sampling budgets for the general-dimension robust builder.
 
-    Explicit sizes win; otherwise the defaults scale as
-    c0 * eps^-2 * min(eps^-2, d) * log-factor for the far sample and the
-    same expression with eps^-2 -> eps^-2z and an extra k^2 for the near
-    sample.
+    Explicit sizes win; otherwise the defaults are
+    eps^-2 * min(eps^-2, d) * log-factor for the far sample and the same
+    expression with eps^-2 -> eps^-2z and an extra k^2 for the near
+    sample, both rounded up.
     """
 
     eps: float
     outlier_sample_size: int | None = None
     inlier_sample_size: int | None = None
     seed: int = 0
-    c0: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
@@ -97,24 +96,19 @@ class NdCoresetConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.c0 <= 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
 
     def resolved_outlier_size(self, d: int) -> int:
         if self.outlier_sample_size is not None:
             return self.outlier_sample_size
         inv2 = self.eps**-2.0
-        return max(1, math.ceil(self.c0 * inv2 * min(inv2, d) * _log_factor(self.eps)))
+        return math.ceil(inv2 * min(inv2, d) * _log_factor(self.eps))
 
     def resolved_inlier_size(self, d: int, k: int, z: int) -> int:
         if self.inlier_sample_size is not None:
             return self.inlier_sample_size
         inv2 = self.eps**-2.0
         scale = self.eps ** (-2.0 * z)
-        return max(
-            1,
-            math.ceil(self.c0 * scale * min(inv2, d) * _log_factor(self.eps) * k * k),
-        )
+        return math.ceil(scale * min(inv2, d) * _log_factor(self.eps) * k * k)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ from the data.  Sweeps tabulate it per (builder, size, trial) with
 candidate centers shared across builders inside a trial so comparisons
 are paired.  Diagnostics cover the ball-range deviation of outlier
 samples (Monte-Carlo in general dimension, exact in 1-d) and the
-per-bucket outlier-count misalignment of 1-d coresets, computed by two
-code paths.  The speedup table times solving on a coreset against
-solving on the full data, scoring both center sets on the full dataset.
+per-bucket outlier-count misalignment of 1-d coresets, computed from
+the definitions of the outlier split and the inlier weights.  The
+speedup table times solving on a coreset against solving on the full
+data, scoring both center sets on the full dataset.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from rcoreset.baselines import build_hjlw23, build_hllw25, build_uniform
 from rcoreset.core import (
     CenterSet,
     WeightedSet,
-    _greedy_fill,
     as_points,
     inlier_assignment,
     outlier_split,
@@ -341,45 +341,6 @@ def ball_range_deviation_1d(P_O, S_O: WeightedSet) -> float:
     return float(max(np.max(gap - lo_run), np.max(hi_run - gap)))
 
 
-@dataclass(frozen=True)
-class _CoordRuns:
-    """Runs of equal coordinates in a sorted 1-d array, with run weights."""
-
-    starts: np.ndarray  # first row index of each run
-    ends: np.ndarray  # one past the last row index
-    coords: np.ndarray
-    run_weight: np.ndarray
-    prior_within: np.ndarray  # per row: weight of earlier rows in its run
-    row_weights: np.ndarray
-
-
-def _coord_runs(rows: np.ndarray, weights: np.ndarray) -> _CoordRuns:
-    w = np.asarray(weights, dtype=np.float64)
-    boundaries = np.flatnonzero(np.diff(rows) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(rows)]])
-    run_weight = np.add.reduceat(w, starts)
-    cum = np.cumsum(w)
-    before_run = np.repeat(cum[starts] - w[starts], ends - starts)
-    prior_within = cum - w - before_run
-    return _CoordRuns(starts, ends, rows[starts], run_weight, prior_within, w)
-
-
-def _evict_farthest_1d(runs: _CoordRuns, center: float, budget: float) -> np.ndarray:
-    """Kept weight per sorted row after evicting all but `budget`, farthest first.
-
-    Runs are filled nearest-first in one stable pass over their
-    distances, so of two runs at equal distance the left one is kept
-    first, and within a run of equal coordinates the largest row
-    indices are evicted first — both matching the canonical
-    (distance, index) ascending inlier order.
-    """
-    _, kept, _ = _greedy_fill(np.abs(runs.coords - center), runs.run_weight, budget)
-    # Within each run, kept weight fills rows in ascending index order.
-    avail = np.repeat(kept, runs.ends - runs.starts) - runs.prior_within
-    return np.minimum(np.clip(avail, 0.0, None), runs.row_weights)
-
-
 def misalignment_check(
     P_sorted,
     buckets: Sequence[Bucket],
@@ -391,10 +352,9 @@ def misalignment_check(
 
     For center c, bucket i holds m_i of P's outliers and its coreset
     row carries outlier weight m_i'; the statistic is Σ_i |m_i − m_i'|.
-    Computed from the definitions (outlier_split / inlier_assignment)
-    and again from runs of equal coordinates, each filled nearest-first
-    up to the inlier budget and split over its rows in index order;
-    both paths must agree.
+    P's outliers come from outlier_split and the rows' outlier weights
+    from inlier_assignment, so ties at equal distance go to the larger
+    index on both sides, as in the robust cost itself.
     """
     pts = as_points(P_sorted)[:, 0]
     if np.any(np.diff(pts) < 0):
@@ -414,27 +374,16 @@ def misalignment_check(
     order = np.argsort(S.points[:, 0], kind="stable")
     if not np.array_equal(order, np.arange(len(S))):
         raise ValueError("coreset rows must be sorted ascending like their buckets")
-    p_runs = _coord_runs(pts, np.ones(n))
-    s_runs = _coord_runs(S.points[:, 0], weights)
     worst = 0.0
     for c in centers:
         C = CenterSet(np.array([[float(c)]]), z=1)
         _, out_idx = outlier_split(pts.reshape(-1, 1), C, m)
-        m_def = np.bincount(
+        m_i = np.bincount(
             np.searchsorted(bucket_starts, out_idx, side="right") - 1,
             minlength=len(buckets),
-        ).astype(np.float64)
-        kept_def = inlier_assignment(S, C, float(m)).kept_weight
-        mprime_def = weights - kept_def
-        kept_p = _evict_farthest_1d(p_runs, float(c), float(n - m))
-        m_inc = np.add.reduceat(1.0 - kept_p, bucket_starts)
-        kept_s = _evict_farthest_1d(s_runs, float(c), S.total_weight - m)
-        mprime_inc = weights - kept_s
-        if not np.allclose(m_def, m_inc, atol=1e-9):
-            raise AssertionError(f"window paths disagree on P's outlier counts at c={c}")
-        if not np.allclose(mprime_def, mprime_inc, atol=1e-6):
-            raise AssertionError(f"window paths disagree on S's outlier weights at c={c}")
-        worst = max(worst, float(np.sum(np.abs(m_def - mprime_def))))
+        )
+        m_prime = weights - inlier_assignment(S, C, float(m)).kept_weight
+        worst = max(worst, float(np.sum(np.abs(m_i - m_prime))))
     return worst
 
 

@@ -152,6 +152,29 @@ def oracle_evict_farthest_1d(coords, run_weight, center: float, budget: float) -
     return kept
 
 
+def oracle_misalignment(xs, bounds, row_coords, row_weights, m: int, center: float) -> float:
+    """Per-bucket outlier-count misalignment at one center, in plain Python.
+
+    ``bounds`` holds each bucket's inclusive index range (l, r) in the
+    sorted points ``xs``; bucket i has one row.  Both sides rank by
+    (distance, index): P's outliers are its last m points in that
+    order, and the rows give up m units of weight from the end of it.
+    """
+    xs = [float(x) for x in xs]
+    ranked = sorted(range(len(xs)), key=lambda i: (abs(xs[i] - center), i))
+    outliers = set(ranked[len(xs) - m :])
+    counts = [sum(i in outliers for i in range(l, r + 1)) for l, r in bounds]
+    rows = sorted(
+        range(len(row_coords)), key=lambda j: (abs(float(row_coords[j]) - center), j)
+    )
+    evicted = [0.0] * len(rows)
+    excess = float(m)
+    for j in reversed(rows):
+        evicted[j] = min(excess, float(row_weights[j]))
+        excess -= evicted[j]
+    return sum(abs(a - b) for a, b in zip(counts, evicted))
+
+
 def tie_heavy_line(seed) -> tuple[np.ndarray, np.ndarray]:
     """Sorted points on a scaled integer grid plus centers to probe them.
 

@@ -28,6 +28,7 @@ from rcoreset.core import (
 )
 
 from oracles import (
+    oracle_evict_farthest_1d,
     oracle_weighted_cost,
     oracle_weighted_cost_all_integer_m,
     oracle_window_at_center,
@@ -199,6 +200,30 @@ class TestInlierAssignment:
         a = inlier_assignment(S, CenterSet([0.0], z=1), m=0)
         assert a.kept_weight.tolist() == [0.5, 3.0]
         assert a.partial_index is None
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fill_matches_eviction_loop_on_tie_heavy_lines(self, seed):
+        xs, centers = tie_heavy_line(seed)
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.5:
+            weights = rng.integers(1, 4, size=len(xs)).astype(float)
+        else:
+            weights = rng.uniform(0.1, 3.0, size=len(xs))
+        S = WeightedSet(xs, weights)
+        starts = np.flatnonzero(np.r_[True, np.diff(xs) != 0])  # runs of equal xs
+        total = S.total_weight
+        budgets = [0.0, total, float(np.floor(rng.uniform(0, total))),
+                   rng.uniform(0, total)]
+        for budget in budgets:
+            for c in centers:
+                kept = inlier_assignment(S, CenterSet([[c]], z=1), total - budget)
+                got = np.add.reduceat(kept.kept_weight, starts)
+                want = oracle_evict_farthest_1d(
+                    xs[starts], np.add.reduceat(weights, starts), float(c), budget
+                )
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                           err_msg=f"c={c}, budget={budget}")
 
     @given(weighted_instances(), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)

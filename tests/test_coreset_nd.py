@@ -48,18 +48,11 @@ class TestNdCoresetConfig:
         assert cfg.resolved_outlier_size(50) == 7
         assert cfg.resolved_inlier_size(50, 3, 2) == 9
 
-    def test_sizes_at_least_one(self) -> None:
-        cfg = NdCoresetConfig(eps=0.9, c0=1e-9)
-        assert cfg.resolved_outlier_size(2) == 1
-        assert cfg.resolved_inlier_size(2, 1, 1) == 1
-
     def test_validation(self) -> None:
         with pytest.raises(ValueError, match="eps"):
             NdCoresetConfig(eps=0.0)
         with pytest.raises(ValueError, match="outlier_sample_size"):
             NdCoresetConfig(eps=0.1, outlier_sample_size=0)
-        with pytest.raises(ValueError, match="c0"):
-            NdCoresetConfig(eps=0.1, c0=0.0)
 
 
 class TestSampleOutlierCoreset:

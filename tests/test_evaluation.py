@@ -20,8 +20,6 @@ from rcoreset.core import (
 from rcoreset.coreset1d import bucket_stats, build_robust_1d_full
 from rcoreset.evaluation import (
     EvalReport,
-    _coord_runs,
-    _evict_farthest_1d,
     ball_range_check,
     ball_range_deviation_1d,
     default_builders,
@@ -34,7 +32,7 @@ from rcoreset.evaluation import (
 )
 from rcoreset.solver import lloyd_with_outliers
 
-from oracles import oracle_evict_farthest_1d, tie_heavy_line
+from oracles import oracle_misalignment, tie_heavy_line
 
 
 def unit_coreset(points: np.ndarray) -> WeightedSet:
@@ -377,23 +375,25 @@ class TestMisalignment:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_run_fill_matches_eviction_loop(self, seed):
+    def test_matches_sorting_oracle_on_tie_heavy_lines(self, seed):
         xs, centers = tie_heavy_line(seed)
         rng = np.random.default_rng(seed)
+        n = len(xs)
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+        bounds = list(zip(np.r_[0, cuts].tolist(), (np.r_[cuts, n] - 1).tolist()))
+        buckets = [bucket_stats(xs, l, r) for l, r in bounds]
+        rows = xs[[int(rng.integers(l, r + 1)) for l, r in bounds]]
         if rng.random() < 0.5:
-            weights = rng.integers(1, 4, size=len(xs)).astype(float)
+            weights = rng.integers(1, 4, size=len(bounds)).astype(float)
         else:
-            weights = rng.uniform(0.1, 3.0, size=len(xs))
-        runs = _coord_runs(xs, weights)
-        total = float(runs.run_weight.sum())
-        budgets = [0.0, total, float(np.floor(rng.uniform(0, total))),
-                   rng.uniform(0, total)]
-        for budget in budgets:
-            for c in centers:
-                got = np.add.reduceat(_evict_farthest_1d(runs, float(c), budget), runs.starts)
-                want = oracle_evict_farthest_1d(runs.coords, runs.run_weight, float(c), budget)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
-                                           err_msg=f"c={c}, budget={budget}")
+            weights = rng.uniform(0.1, 3.0, size=len(bounds))
+        S = WeightedSet(rows, weights)
+        m = int(rng.integers(0, min(n, int(S.total_weight)) + 1))
+        for c in centers:
+            got = misalignment_check(xs, buckets, S, m, [float(c)])
+            want = oracle_misalignment(xs, bounds, rows, weights, m, float(c))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                       err_msg=f"c={c}, m={m}, bounds={bounds}")
 
     def test_validation(self):
         pts = np.arange(6.0)
