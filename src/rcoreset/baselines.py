@@ -13,8 +13,8 @@ import operator
 
 import numpy as np
 
-from rcoreset.core import CenterSet, WeightedSet, _nearest_dist_pow, as_points, outlier_split
-from rcoreset.coreset_nd import _sensitivity_draw, build_inlier_coreset
+from rcoreset.core import WeightedSet, as_points
+from rcoreset.coreset_nd import _sensitivity_draw, _split_at, build_inlier_coreset
 
 __all__ = [
     "build_hjlw23",
@@ -23,25 +23,15 @@ __all__ = [
 ]
 
 
-def _split_far_near(P, m: int, C_star, z: int):
-    points = as_points(P)
-    m = operator.index(m)
-    if not 0 <= m < len(points):
-        raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={len(points)}")
-    C = C_star if isinstance(C_star, CenterSet) else CenterSet(as_points(C_star), z=z)
-    inl_idx, out_idx = outlier_split(points, C, m)
-    return points[inl_idx], points[out_idx], C
-
-
-def _ring_coarse_sample(P_I: np.ndarray, C: CenterSet, size: int, seed) -> WeightedSet:
+def _ring_coarse_sample(P_I: np.ndarray, dpow: np.ndarray, size: int, seed) -> WeightedSet:
     """Sensitivity sampling with per-ring (not per-point) cost scores.
 
     Points are grouped into doubling rings of their z-power distance to
     the center set relative to its mean; every point inherits its ring's
-    average score, flattening the distribution inside each ring.
+    average score, flattening the distribution inside each ring.  ``dpow``
+    holds each point's z-power distance to the center set.
     """
     n_i = len(P_I)
-    _, dpow = _nearest_dist_pow(P_I, C.centers, C.z)
     scores = dpow
     total = float(np.sum(dpow))
     if total > 0.0:
@@ -71,13 +61,9 @@ def build_hjlw23(P, m: int, k: int, z: int, target_size: int, C_star, seed) -> W
     target_size = operator.index(target_size)
     if target_size < m:
         raise ValueError(f"target_size {target_size} is below the m={m} floor")
-    P_I, L_star, C = _split_far_near(P, m, C_star, z)
-    if len(C) != k:
-        raise ValueError(f"expected {k} centers, got {len(C)}")
-    if len(P_I) == 0:
-        return WeightedSet(L_star, np.ones(m))
-    S_I = _ring_coarse_sample(P_I, C, max(1, target_size - m), seed)
-    return _with_kept_outliers(L_star, S_I)
+    points, _, far, _, dpow = _split_at(P, m, k, z, C_star)
+    S_I = _ring_coarse_sample(points[~far], dpow[~far], max(1, target_size - m), seed)
+    return _with_kept_outliers(points[far], S_I)
 
 
 def build_hllw25(P, m: int, k: int, z: int, target_size: int, C_star, seed) -> WeightedSet:
@@ -85,13 +71,9 @@ def build_hllw25(P, m: int, k: int, z: int, target_size: int, C_star, seed) -> W
     target_size = operator.index(target_size)
     if target_size < m:
         raise ValueError(f"target_size {target_size} is below the m={m} floor")
-    P_I, L_star, C = _split_far_near(P, m, C_star, z)
-    if len(C) != k:
-        raise ValueError(f"expected {k} centers, got {len(C)}")
-    if len(P_I) == 0:
-        return WeightedSet(L_star, np.ones(m))
-    S_I = build_inlier_coreset(P_I, C, C.z, max(1, target_size - m), seed)
-    return _with_kept_outliers(L_star, S_I)
+    points, C, far, _, _ = _split_at(P, m, k, z, C_star)
+    S_I = build_inlier_coreset(points[~far], C, z, max(1, target_size - m), seed)
+    return _with_kept_outliers(points[far], S_I)
 
 
 def build_uniform(P, target_size: int, seed) -> WeightedSet:

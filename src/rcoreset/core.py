@@ -272,13 +272,24 @@ def outlier_split(P, C: CenterSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     sorted ascending.
     """
     points = as_points(P)
-    _check_dims(points, C)
     m = operator.index(m)
     _as_outlier_count(m, len(points), "|P|")
-    dpow = _nearest_dist_pow(points, C.centers, C.z)[1]
-    order = _canonical_order(dpow)
-    keep = len(points) - m
-    return np.sort(order[:keep]), np.sort(order[keep:])
+    far = _split_far(points, C, m)[0]
+    return np.flatnonzero(~far), np.flatnonzero(far)
+
+
+def _split_far(
+    points: np.ndarray, C: CenterSet, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of outlier_split's m outliers, nearest center and dist^z per point.
+
+    ``points`` is an (n, d) float64 array and 0 <= m <= n.
+    """
+    _check_dims(points, C)
+    nearest, dpow = _nearest_dist_pow(points, C.centers, C.z)
+    far = np.zeros(len(points), dtype=bool)
+    far[_canonical_order(dpow)[len(points) - m :]] = True
+    return far, nearest, dpow
 
 
 def _prepare_center_batch(centers, dim: int) -> np.ndarray:

@@ -29,9 +29,9 @@ from rcoreset.core import (
     CenterSet,
     WeightedSet,
     _nearest_dist_pow,
+    _split_far,
     as_points,
     dist,
-    outlier_split,
 )
 
 __all__ = [
@@ -148,6 +148,22 @@ def _as_center_set(centers, z: int) -> CenterSet:
             raise ValueError(f"center set has z={centers.z}, expected z={z}")
         return centers
     return CenterSet(as_points(centers), z=z)
+
+
+def _split_at(P, m: int, k: int, z: int, C_star):
+    """Validated (points, C) and the far mask, nearest center and dist^z per point.
+
+    The far points are outlier_split's m outliers at C_star; 0 <= m < |P|
+    and k == |C_star| are enforced, and a CenterSet must carry z.
+    """
+    points = as_points(P)
+    C = _as_center_set(C_star, z)
+    if len(C) != k:
+        raise ValueError(f"expected {k} centers, got {len(C)}")
+    m = operator.index(m)
+    if not 0 <= m < len(points):
+        raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={len(points)}")
+    return (points, C, *_split_far(points, C, m))
 
 
 def _lex_rows(points: np.ndarray) -> np.ndarray:
@@ -331,24 +347,18 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     the near weights are finally scaled to total |P_I|.  Outlier rows
     come first in the combined coreset.
     """
-    points = as_points(P)
-    C = _as_center_set(C_star, z)
-    if len(C) != k:
-        raise ValueError(f"expected {k} centers, got {len(C)}")
-    m = operator.index(m)
-    if not 0 <= m < len(points):
-        raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={len(points)}")
-    inl_idx, out_idx = outlier_split(points, C, m)
-    L_star = points[out_idx]
-    P_I = points[inl_idx]
-    L_star = L_star[_lex_rows(L_star)] if m > 0 else L_star
-    P_I = P_I[_lex_rows(P_I)]
+    points, C, far, nearest, dpow = _split_at(P, m, k, z, C_star)
+    # Each part keeps the coordinate-lexicographic order of P.
+    order = _lex_rows(points)
+    far_in_order = far[order]
+    near = order[~far_in_order]
+    L_star, P_I = points[order[far_in_order]], points[near]
     rng = np.random.default_rng(cfg.seed)
     if m > 0:
         S_O = sample_outlier_coreset(L_star, cfg.resolved_outlier_size(points.shape[1]), rng)
     else:
         S_O = None
-    nearest, dpow = _nearest_dist_pow(P_I, C.centers, z)
+    nearest, dpow = nearest[near], dpow[near]
     rows, weights = _sensitivity_draw(
         dpow, cfg.resolved_inlier_size(points.shape[1], k, z), rng
     )
@@ -383,19 +393,13 @@ def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:
     evaluates both threshold conditions plus the alternative pairwise
     separation condition.  Purely informational.
     """
-    points = as_points(P)
-    C = _as_center_set(C_star, z)
-    if len(C) != k:
-        raise ValueError(f"expected {k} centers, got {len(C)}")
-    m = operator.index(m)
-    if not 0 <= m < len(points):
-        raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={len(points)}")
-    inl_idx, _ = outlier_split(points, C, m)
-    P_I = points[inl_idx]
-    nearest, dmin = _nearest_dist_pow(P_I, C.centers, 1)
+    _, C, far, nearest, dpow = _split_at(P, m, k, z, C_star)
+    nearest, dmin = nearest[~far], dpow[~far]
+    if z == 2:
+        dmin = np.sqrt(dmin)
     sizes = tuple(int(np.sum(nearest == i)) for i in range(k))
-    r_max = float(np.max(dmin)) if len(P_I) else 0.0
-    r_bar = float(np.mean(dmin**z)) ** (1.0 / z) if len(P_I) else 0.0
+    r_max = float(np.max(dmin))
+    r_bar = float(np.mean(dmin**z)) ** (1.0 / z)
     cond1, cond2 = evaluate_conditions(min(sizes), r_max, r_bar, m, k, z)
     separation_ok = True
     for i in range(k):

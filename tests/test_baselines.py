@@ -125,6 +125,13 @@ class TestStructuredBaselines:
         with pytest.raises(ValueError, match="centers"):
             builder(P, 40, 2, 1, 120, C_star, seed=7)
 
+    @pytest.mark.parametrize("builder", STRUCTURED_BUILDERS)
+    def test_z_mismatch_with_center_set_rejected(self, builder) -> None:
+        P, C_star = small_instance(seed=7)
+        assert C_star.z == 1
+        with pytest.raises(ValueError, match="center set has z=1, expected z=2"):
+            builder(P, 40, 1, 2, 120, C_star, seed=7)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_builders_differ_only_in_inlier_scores(self, seed: int) -> None:

@@ -187,15 +187,29 @@ class TestBuildRobustNd:
 
     def test_deterministic_and_order_independent(self) -> None:
         rng = np.random.default_rng(11)
-        P = rng.normal(0.0, 2.0, (150, 3))
         cfg = NdCoresetConfig(eps=0.3, outlier_sample_size=8, inlier_sample_size=20, seed=13)
         c = np.zeros((1, 3))
-        S1 = build_robust_kz(P, 15, 1, 1, cfg, c)
-        S2 = build_robust_kz(P, 15, 1, 1, cfg, c)
-        S3 = build_robust_kz(P[rng.permutation(150)], 15, 1, 1, cfg, c)
-        for other in (S2, S3):
-            np.testing.assert_array_equal(S1.points, other.points)
-            np.testing.assert_array_equal(S1.weights, other.weights)
+        # Integer grid: many distinct points share a squared distance, and
+        # m = |{dist^2 > 25}| puts the cut between the values 25 and 26.
+        grid = np.stack(np.meshgrid(*[np.arange(-4.0, 5.0)] * 3), axis=-1).reshape(-1, 3)
+        d2 = np.sum(grid**2, axis=1)
+        assert np.count_nonzero(d2 == 25) > 1 and np.count_nonzero(d2 == 26) > 1
+        inputs = [
+            (rng.normal(0.0, 2.0, (150, 3)), 15, 1),
+            (grid[rng.permutation(len(grid))], int(np.count_nonzero(d2 > 25)), 2),
+        ]
+        for P, m, z in inputs:
+            full = build_robust_kz_full(P, m, 1, z, cfg, c)
+            inl, out = outlier_split(P, CenterSet(c, z=z), m)
+            for part, idx in ((full.L_star, out), (full.P_I_star, inl)):
+                want = P[idx]
+                np.testing.assert_array_equal(part, want[np.lexsort(want.T[::-1])])
+            S1 = full.coreset
+            S2 = build_robust_kz(P, m, 1, z, cfg, c)
+            S3 = build_robust_kz(P[rng.permutation(len(P))], m, 1, z, cfg, c)
+            for other in (S2, S3):
+                np.testing.assert_array_equal(S1.points, other.points)
+                np.testing.assert_array_equal(S1.weights, other.weights)
 
     def test_error_within_budget_on_reference_instance(self) -> None:
         rng = np.random.default_rng(77)
