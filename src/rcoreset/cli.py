@@ -176,8 +176,7 @@ def write_points_csv(path: str, points: np.ndarray, seed: int) -> None:
     pts = as_points(points)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={seed}\n")
-        for row in pts:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(fh, pts)
 
 
 def write_coreset_csv(path: str, S: WeightedSet, seed: int) -> None:
@@ -186,9 +185,13 @@ def write_coreset_csv(path: str, S: WeightedSet, seed: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={seed}\n")
         fh.write(header + "\n")
-        for row, w in zip(S.points, S.weights):
-            coords = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{coords},{w:.17g}\n")
+        _write_rows(fh, np.column_stack([S.points, S.weights]))
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """One comma-separated line of %.17g values per row of a 2-d array."""
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
 
 def _resolve_seed(seed: int | None, out) -> int:

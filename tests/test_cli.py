@@ -115,6 +115,27 @@ class TestCoresetFiles:
         assert text.splitlines()[0] == "# seed=9"
         assert parse_dataset(str(path)).shape == (4, 1)
 
+    def test_rows_match_per_value_formatting_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-300, 300, size=(30, 4))
+        pts[0] = [-0.0, 5e-324, 1e308, -1e308]
+        pts[1] = [0.0, 3.0, -7.0, 2.0**53]
+        weights = rng.uniform(0.5, 9.0, 30)
+        weights[:4] = [5e-324, 1e308, 1.0, 12.0]
+
+        def row(values):
+            return ",".join(f"{v:.17g}" for v in values) + "\n"
+
+        path = tmp_path / "pts.csv"
+        write_points_csv(str(path), pts, seed=9)
+        want = "# seed=9\n" + "".join(row(r) for r in pts)
+        assert path.read_bytes() == want.encode()
+        write_coreset_csv(str(path), WeightedSet(pts, weights), seed=9)
+        want = "# seed=9\nx0,x1,x2,x3,weight\n" + "".join(
+            row([*r, w]) for r, w in zip(pts, weights)
+        )
+        assert path.read_bytes() == want.encode()
+
 
 class TestRunConfig:
     def test_rejects_bad_numerics(self):

@@ -29,6 +29,7 @@ from rcoreset.core import (
 
 from oracles import (
     oracle_evict_farthest_1d,
+    oracle_robust_cost,
     oracle_weighted_cost,
     oracle_weighted_cost_all_integer_m,
     oracle_window_at_center,
@@ -424,3 +425,83 @@ class TestLineWindows:
             got = _line_window_starts(xs, centers, keep)
             want = [oracle_window_at_center(xs, float(c), keep) for c in centers]
             assert [(int(s), int(s) + keep - 1) for s in got] == want, f"keep={keep}"
+
+
+@st.composite
+def line_cost_instances(draw):
+    """Unsorted points on the line, probe centers, z and an m to score at.
+
+    Families: the tie-heavy grid; Gaussians at an offset from 0 to 1e8,
+    optionally with a far outlier block on each end; and two tight
+    clusters 1e8 apart.  m is drawn around both switches of the line
+    path (4m <= n, and the windows sharing the median index) or at
+    random.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    family = draw(st.sampled_from(["ties", "gauss", "outliers", "clusters"]))
+    if family == "ties":
+        xs, centers = tie_heavy_line(seed)
+    else:
+        n = draw(st.integers(1, 60))
+        offset = draw(st.sampled_from([0.0, 1e4, 1e7, 1e8]))
+        xs = rng.normal(size=n) + offset
+        if family == "outliers":
+            q = n // 8
+            xs[:q] = offset - rng.uniform(1e6, 1e9, q)
+            xs[n - q :] = offset + rng.uniform(1e6, 1e9, q)
+        elif family == "clusters":
+            xs = 1e-3 * rng.normal(size=n) + np.where(np.arange(n) < n // 2, 0.0, 1e8)
+        off = [xs.min() - 1.5, xs.max() + 0.5, xs.mean()]
+        centers = np.concatenate([xs, rng.choice(xs, 5) + rng.normal(size=5), off])
+        xs = rng.permutation(xs)
+    n = len(xs)
+    pivots = [0, n // 4, n // 4 + 1, n - n // 2 - 1, n - n // 2, n // 2 - 1]
+    m = draw(st.sampled_from([q for q in pivots if 0 <= q <= n]) | st.integers(0, n))
+    return xs, centers, draw(st.sampled_from([1, 2])), m
+
+
+class TestLineCosts:
+    @given(line_cost_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorting_oracle(self, instance):
+        xs, centers, z, m = instance
+        got = robust_cost_many(xs, centers.reshape(-1, 1, 1), z, m)
+        want = [oracle_robust_cost(xs, [c], z, m) for c in centers]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e8])
+    def test_points_on_the_center_cost_exactly_zero(self, offset, z):
+        rng = np.random.default_rng(7)
+        points = np.full(1000, offset)
+        points[:200] = offset + rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 1e9, 200)
+        batch = np.full((3, 1, 1), offset)
+        for m in (200, 250):  # 4m <= n: the prefix-sum path
+            got = robust_cost_many(rng.permutation(points[:4 * m]), batch, z, m)
+            assert np.array_equal(got, np.zeros(3)), f"m={m}: {got}"
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_shift_by_1e6_changes_costs_by_roundoff(self, z):
+        # A dyadic grid shifts exactly, so both calls score the same points.
+        rng = np.random.default_rng(11)
+        points = rng.integers(-2**20, 2**20, 4000) / 1024.0
+        points[:40] = rng.integers(-2**30, 2**30, 40)  # far outliers
+        centers = np.concatenate([rng.choice(points, 30), rng.integers(-2**21, 2**21, 10) / 2048.0])
+        for m in (0, 40, 1000, 1999, 2000, 3000):
+            base = robust_cost_many(points, centers.reshape(-1, 1, 1), z, m)
+            moved = robust_cost_many(points + 1e6, centers.reshape(-1, 1, 1) + 1e6, z, m)
+            np.testing.assert_allclose(moved, base, rtol=1e-12, atol=0, err_msg=f"m={m}")
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_matches_scalar_on_two_far_clusters_up_to_half_outliers(self, z):
+        # Near m = n/2 a window may hold one point past the median index,
+        # where sums anchored there would lose digits to cancellation.
+        rng = np.random.default_rng(12)
+        n = 100_000
+        points = 1e-3 * rng.normal(size=n) + np.where(np.arange(n) < n // 2, 0.0, 1e8)
+        centers = np.concatenate([rng.choice(points, 4), rng.uniform(-1e8, 2e8, 4)])
+        for m in (n // 4, n // 4 + 1, int(0.49 * n), n - n // 2 - 1, n - n // 2):
+            got = robust_cost_many(points, centers.reshape(-1, 1, 1), z, m)
+            want = [robust_cost(points, CenterSet([c], z=z), m) for c in centers]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"m={m}")
