@@ -415,8 +415,7 @@ def _line_costs(xs: np.ndarray, cs: np.ndarray, z: int, keep: int) -> np.ndarray
     c = cs - xs[h]
     if z == 1:
         # Every point between a window's ends and its center is inside it.
-        j = np.searchsorted(xs, cs)
-        return c * (2 * j - s - e) + F[s] + F[e] - 2.0 * F[j]
+        return _abs_dev_sum(F, s, e, c, np.searchsorted(xs, cs))
     Q = _sums_outward(np.square(y, out=y), h)
     return (Q[e] - Q[s]) - 2.0 * c * (F[e] - F[s]) + c * c * keep
 
@@ -428,6 +427,14 @@ def _sums_outward(v: np.ndarray, h: int) -> np.ndarray:
     np.cumsum(v[h:], out=F[h + 1 :])
     F[:h] = -np.cumsum(v[:h][::-1])[::-1]
     return F
+
+
+def _abs_dev_sum(F, s, e, c, j):
+    """Sum of |y - c| over a sorted y[s:e] split at j: y[s:j] <= c <= y[j:e].
+
+    F is ``_sums_outward`` of y; works elementwise on index arrays.
+    """
+    return c * (2 * j - s - e) + F[s] + F[e] - 2.0 * F[j]
 
 
 def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:

@@ -13,18 +13,25 @@ The vanilla subroutine reuses the same block/bucket machinery centered
 at the plain median with scale r_bar (the average absolute deviation).
 Its far region is realised as extra levels continuing past the nominal
 top level so that distant mass stays error-capped in proportion to its
-distance; the cap constant is a tunable knob.
+distance.  Both share the cap denominator ``DEFAULT_DELTA_CONSTANT``, a
+module constant read at call time.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rcoreset.core import AssumptionViolationError, WeightedSet, _line_window_starts
+from rcoreset.core import (
+    AssumptionViolationError,
+    WeightedSet,
+    _abs_dev_sum,
+    _line_window_starts,
+    _sums_outward,
+)
 from rcoreset.solver import robust_median_1d
 
 __all__ = [
@@ -203,119 +210,92 @@ def partition_blocks(P_L, P_R, c_L: float, c_R: float, r_max: float, eps: float)
     )
 
 
-def _delta_of_range(pts: np.ndarray, prefix: np.ndarray, l: int, r: int) -> float:
-    """Cumulative error of pts[l..r] via prefix sums, O(log) per call."""
-    cnt = r - l + 1
-    total = prefix[r + 1] - prefix[l]
-    mu = total / cnt
-    j = min(max(int(np.searchsorted(pts, mu, side="right")), l), r + 1)
-    below = mu * (j - l) - (prefix[j] - prefix[l])
-    above = (prefix[r + 1] - prefix[j]) - mu * (r + 1 - j)
-    return float(below + above)
-
-
-def _greedy_ranges(
+def _greedy_buckets(
     pts: np.ndarray,
-    prefix: np.ndarray,
     l: int,
     r: int,
     delta_cap: float | None,
     count_cap: int | None,
     product_cap: float | None,
-) -> list[tuple[int, int]]:
-    """Greedy left-to-right maximal feasible ranges covering [l, r].
+) -> list[Bucket]:
+    """Greedy left-to-right maximal feasible buckets covering pts[l..r].
 
     Feasibility (cum_err, count, count*length below their caps) is
     monotone when the right end grows, so each maximal bucket is found
-    by binary search.  Singletons are always feasible.
+    by binary search.  Singletons are always feasible.  A range's
+    cum_err comes in O(log) from sums of pts - pts[h], accumulated
+    outward from the median index h of [l, r], so it does not depend
+    on where the data sits.
     """
+    seg = pts[l : r + 1]
+    h = (r - l) // 2
+    y = seg - seg[h]
+    F = _sums_outward(y, h)
 
     def ok(a: int, b: int) -> bool:
         cnt = b - a + 1
         if count_cap is not None and cnt > count_cap:
             return False
-        if product_cap is not None and cnt * (pts[b] - pts[a]) > product_cap:
+        if product_cap is not None and cnt * (seg[b] - seg[a]) > product_cap:
             return False
-        if delta_cap is not None and _delta_of_range(pts, prefix, a, b) > delta_cap:
-            return False
+        if delta_cap is not None:
+            mu = (F[b + 1] - F[a]) / cnt
+            j = min(max(int(np.searchsorted(y, mu, side="right")), a), b + 1)
+            if _abs_dev_sum(F, a, b + 1, mu, j) > delta_cap:
+                return False
         return True
 
-    out: list[tuple[int, int]] = []
-    a = l
-    while a <= r:
-        if ok(a, r):
-            out.append((a, r))
+    out: list[Bucket] = []
+    a, last = 0, r - l
+    while a <= last:
+        if ok(a, last):
+            out.append(bucket_stats(pts, l + a, r))
             break
-        lo, hi = a, r  # ok(a, lo) holds, ok(a, hi) fails
+        lo, hi = a, last  # ok(a, lo) holds, ok(a, hi) fails
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(a, mid):
                 lo = mid
             else:
                 hi = mid
-        out.append((a, lo))
+        out.append(bucket_stats(pts, l + a, l + lo))
         a = lo + 1
     return out
 
 
-def _count_cap(eps: float, n: int) -> int:
-    """Bucket size cap floor(eps*n/16), degrading to singletons below 1."""
-    return max(1, int(math.floor(eps * n / 16.0)))
-
-
-def split_block(
-    block: Block,
-    level: int | None,
-    eps: float,
-    n: int,
-    r_max: float,
-    *,
-    delta_constant: float = DEFAULT_DELTA_CONSTANT,
-) -> list[Bucket]:
+def split_block(block: Block, level: int | None, eps: float, n: int, r_max: float) -> list[Bucket]:
     """Chop one block into greedy maximal buckets under the level caps.
 
     Inner blocks of level i obey cum_err <= 2^i * eps^2 * n * r_max /
-    delta_constant and count <= eps*n/16; far blocks (level None) obey
-    the count cap alone.  Bucket indices refer to block.data.
+    DEFAULT_DELTA_CONSTANT and count <= eps*n/16 (at least 1); far blocks
+    (level None) obey the count cap alone.  Bucket indices refer to
+    block.data.
     """
-    pts = block.data
-    prefix = np.concatenate(([0.0], np.cumsum(pts)))
-    count_cap = _count_cap(eps, n)
+    count_cap = max(1, int(math.floor(eps * n / 16.0)))
     if level is None:
         delta_cap = None
     else:
-        delta_cap = (2.0**level) * eps * eps * n * r_max / delta_constant
-    ranges = _greedy_ranges(pts, prefix, block.l, block.r, delta_cap, count_cap, None)
-    return [bucket_stats(pts, a, b) for a, b in ranges]
+        delta_cap = (2.0**level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
+    return _greedy_buckets(block.data, block.l, block.r, delta_cap, count_cap, None)
 
 
-def _vanilla_bucket_ranges(
-    pts: np.ndarray,
-    lo: int,
-    hi: int,
-    eps: float,
-    delta_constant: float,
-) -> list[tuple[int, int]]:
-    """Bucket ranges (global, inclusive) of the vanilla coreset on pts[lo:hi].
+def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[Bucket]:
+    """Buckets (global, inclusive) of the vanilla coreset on pts[lo:hi].
 
     Blocks double in distance from the slice median with scale r_bar =
     average absolute deviation; levels continue past the nominal top so
     every point is distance-proportionally capped.  Each level-i bucket
     obeys cum_err <= cap_i and count*length <= cap_i with cap_i =
-    2^i * eps^2 * n_sub * r_bar / delta_constant.
+    2^i * eps^2 * n_sub * r_bar / DEFAULT_DELTA_CONSTANT.
     """
     n_sub = hi - lo
     if n_sub <= 0:
         return []
-    if n_sub == 1:
-        return [(lo, lo)]
     med = lo + (n_sub - 1) // 2
-    center = pts[med]
-    slice_ = pts[lo:hi]
-    r_bar = float(np.mean(np.abs(slice_ - center)))
+    dist = np.abs(pts[lo:hi] - pts[med])
+    r_bar = float(np.mean(dist))
     if r_bar == 0.0:
-        return [(lo, hi - 1)]
-    dist = np.abs(slice_ - center)
+        return [bucket_stats(pts, lo, hi - 1)]
     max_dist = float(dist.max())
     top = max(1, math.ceil(math.log2(max(max_dist, 2.0 * eps * r_bar) / (eps * r_bar))))
     labels = _classify_levels(dist, eps, r_bar, top)
@@ -323,32 +303,21 @@ def _vanilla_bucket_ranges(
     # the median onward (increasing); runs are contiguous inside each.
     side = (np.arange(lo, hi) >= med).astype(np.int64)
     combined = side * (top + 2) + labels
-    prefix = np.concatenate(([0.0], np.cumsum(pts)))
-    out: list[tuple[int, int]] = []
+    out: list[Bucket] = []
     for _, start, stop in _runs(combined):
-        level = int(labels[start])
-        cap = (2.0**level) * eps * eps * n_sub * r_bar / delta_constant
-        out.extend(
-            _greedy_ranges(pts, prefix, lo + start, lo + stop, cap, None, cap)
-        )
+        cap = (2.0 ** int(labels[start])) * eps * eps * n_sub * r_bar / DEFAULT_DELTA_CONSTANT
+        out.extend(_greedy_buckets(pts, lo + start, lo + stop, cap, None, cap))
     return out
 
 
-def build_vanilla_1d(
-    P_sorted,
-    eps: float,
-    *,
-    delta_constant: float = DEFAULT_DELTA_CONSTANT,
-) -> WeightedSet:
+def build_vanilla_1d(P_sorted, eps: float) -> WeightedSet:
     """Coreset for the (non-robust) 1-d geometric median: (mean, count) buckets."""
     pts = _validated_sorted(P_sorted)
     if len(pts) < 1:
         raise ValueError("need at least one point")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    ranges = _vanilla_bucket_ranges(pts, 0, len(pts), eps, delta_constant)
-    buckets = [bucket_stats(pts, a, b) for a, b in ranges]
-    return _buckets_to_weighted_set(buckets)
+    return _buckets_to_weighted_set(_vanilla_buckets(pts, 0, len(pts), eps))
 
 
 def _validated_sorted(P_sorted) -> np.ndarray:
@@ -396,14 +365,17 @@ def boundary_split(buckets: list[Bucket], P_sorted, m: int) -> list[Bucket]:
 
 @dataclass(frozen=True)
 class Robust1dBuild:
-    """Full build record: the coreset plus the buckets behind each row."""
+    """Full build record: the coreset plus the buckets behind each row.
+
+    The anchors (partition, center, r_max, window) are None when m = 0.
+    """
 
     coreset: WeightedSet
     buckets: list[Bucket]
-    partition: BlockPartition | None
-    center: float | None
-    r_max: float | None
-    window: tuple[int, int] | None
+    partition: BlockPartition | None = None
+    center: float | None = None
+    r_max: float | None = None
+    window: tuple[int, int] | None = None
 
 
 def build_robust_1d_full(
@@ -412,7 +384,6 @@ def build_robust_1d_full(
     eps: float,
     *,
     allow_small_n: bool = False,
-    delta_constant: float = DEFAULT_DELTA_CONSTANT,
 ) -> Robust1dBuild:
     """Robust 1-d coreset build returning buckets and anchors alongside."""
     pts = _validated_sorted(P_sorted)
@@ -428,16 +399,8 @@ def build_robust_1d_full(
             "pass allow_small_n=True to build anyway without guarantees"
         )
     if m == 0:
-        ranges = _vanilla_bucket_ranges(pts, 0, n, eps / 3.0, delta_constant)
-        buckets = [bucket_stats(pts, a, b) for a, b in ranges]
-        return Robust1dBuild(
-            coreset=_buckets_to_weighted_set(buckets),
-            buckets=buckets,
-            partition=None,
-            center=None,
-            r_max=None,
-            window=None,
-        )
+        buckets = _vanilla_buckets(pts, 0, n, eps / 3.0)
+        return Robust1dBuild(_buckets_to_weighted_set(buckets), buckets)
     solve = robust_median_1d(pts, m)
     left, right = solve.inlier_window
     center = float(solve.centers.centers[0, 0])
@@ -445,20 +408,18 @@ def build_robust_1d_full(
     # Under the override the fringes may meet (n < 2m); shrink the right
     # fringe so the three zones stay a partition of the indices.
     right_base = max(n - m, m)
-    middle_ranges = _vanilla_bucket_ranges(pts, m, n - m, eps / 3.0, delta_constant)
-    part = partition_blocks(
-        pts[:m], pts[right_base:], center - r_max, center + r_max, r_max, eps
-    )
+    middle = _vanilla_buckets(pts, m, n - m, eps / 3.0)
+    part = partition_blocks(pts[:m], pts[right_base:], center - r_max, center + r_max, r_max, eps)
     fringe: list[Bucket] = []
     for block in part.all_blocks():
         base = 0 if block.side in ("L", "LR") else right_base
-        for b in split_block(block, block.level, eps, n, r_max, delta_constant=delta_constant):
-            fringe.append(bucket_stats(pts, base + b.l, base + b.r))
+        # block.data is a view of pts, so each bucket's summary carries over.
+        fringe.extend(
+            replace(b, l=base + b.l, r=base + b.r)
+            for b in split_block(block, block.level, eps, n, r_max)
+        )
     fringe = boundary_split(fringe, pts, m)
-    buckets = sorted(
-        fringe + [bucket_stats(pts, a, b) for a, b in middle_ranges],
-        key=lambda b: b.l,
-    )
+    buckets = sorted(fringe + middle, key=lambda b: b.l)
     return Robust1dBuild(
         coreset=_buckets_to_weighted_set(buckets),
         buckets=buckets,
@@ -469,23 +430,10 @@ def build_robust_1d_full(
     )
 
 
-def build_robust_1d(
-    P_sorted,
-    m: int,
-    eps: float,
-    *,
-    allow_small_n: bool = False,
-    delta_constant: float = DEFAULT_DELTA_CONSTANT,
-) -> WeightedSet:
+def build_robust_1d(P_sorted, m: int, eps: float, *, allow_small_n: bool = False) -> WeightedSet:
     """Coreset for the robust 1-d geometric median with m outliers.
 
     Requires n >= 4m unless allow_small_n is set (the build then runs
     without its quality guarantee).  Output weights sum to n exactly.
     """
-    return build_robust_1d_full(
-        P_sorted,
-        m,
-        eps,
-        allow_small_n=allow_small_n,
-        delta_constant=delta_constant,
-    ).coreset
+    return build_robust_1d_full(P_sorted, m, eps, allow_small_n=allow_small_n).coreset

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcoreset.core import CenterSet, _greedy_fill, _nearest_dist_pow, as_points
+from rcoreset.core import (
+    CenterSet,
+    _abs_dev_sum,
+    _greedy_fill,
+    _nearest_dist_pow,
+    _sums_outward,
+    as_points,
+)
 
 __all__ = [
     "SolveResult",
@@ -38,7 +45,8 @@ def robust_median_1d(P, m: int) -> SolveResult:
 
     The optimal inlier set is a contiguous window of n - m consecutive
     points and the optimal center is a median of that window; scanning
-    all m + 1 windows with prefix sums takes O(n).  Window cost ties are
+    all m + 1 windows with prefix sums of x - x_h, accumulated outward
+    from the median index h, takes O(n).  Window cost ties are
     broken toward the smallest left index and the reported center is the
     lower median of the winning window.
     """
@@ -50,14 +58,11 @@ def robust_median_1d(P, m: int) -> SolveResult:
     if n > 1 and np.any(np.diff(pts) < 0):
         raise ValueError("P must be sorted ascending")
     length = n - m
-    prefix = np.concatenate(([0.0], np.cumsum(pts)))
+    h = n // 2
+    y = pts - pts[h]
     lefts = np.arange(m + 1)
     med = lefts + (length - 1) // 2
-    centers = pts[med]
-    left_cnt = med - lefts + 1
-    sum_left = prefix[med + 1] - prefix[lefts]
-    sum_right = prefix[lefts + length] - prefix[med + 1]
-    costs = centers * left_cnt - sum_left + sum_right - centers * (length - left_cnt)
+    costs = _abs_dev_sum(_sums_outward(y, h), lefts, lefts + length, y[med], med + 1)
     best = int(np.argmin(costs))
     left, right = best, best + length - 1
     center = float(pts[best + (length - 1) // 2])

@@ -22,9 +22,11 @@ from rcoreset import (
 )
 from rcoreset.core import (
     _BLOCK_FLOATS,
+    _abs_dev_sum,
     _line_window_starts,
     _min_dist_pow_batch,
     _nearest_dist_pow,
+    _sums_outward,
 )
 
 from oracles import (
@@ -425,6 +427,37 @@ class TestLineWindows:
             got = _line_window_starts(xs, centers, keep)
             want = [oracle_window_at_center(xs, float(c), keep) for c in centers]
             assert [(int(s), int(s) + keep - 1) for s in got] == want, f"keep={keep}"
+
+
+class TestAbsDevSum:
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_direct_sum_at_every_split_of_a_tie(self, offset, seed):
+        xs, centers = tie_heavy_line(seed)
+        xs, centers = xs + offset, centers + offset
+        n = len(xs)
+        h = n // 2
+        y = xs - xs[h]
+        F = _sums_outward(y, h)
+        rng = np.random.default_rng(seed)
+        ranges = [(0, n), (h, h + 1)] + [
+            tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(8)
+        ]
+        for c in centers - xs[h]:
+            for s, e in ranges:
+                want = float(np.sum(np.abs(y[s:e] - c)))
+                # Any split inside the run of points equal to c is valid.
+                lo = s + np.searchsorted(y[s:e], c, side="left")
+                hi = s + np.searchsorted(y[s:e], c, side="right")
+                for j in range(lo, hi + 1):
+                    got = _abs_dev_sum(F, s, e, c, j)
+                    if want > 0:
+                        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+                    elif s <= h < e:  # every point equals c, and c is the anchor
+                        assert got == 0.0, f"[{s}, {e}) split at {j}: {got}"
+                    else:  # away from the anchor F's rounding may leave a residue
+                        assert abs(got) <= 1e-12 * np.abs(F).max()
 
 
 @st.composite

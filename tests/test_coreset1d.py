@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcoreset import coreset1d
 from rcoreset.core import (
     AssumptionViolationError,
     CenterSet,
@@ -29,6 +30,8 @@ from rcoreset.coreset1d import (
     partition_blocks,
     split_block,
 )
+from rcoreset.instances import gen_gaussian_clusters
+from rcoreset.solver import robust_median_1d
 
 
 def gaussian_with_outliers(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -358,6 +361,26 @@ class TestBuildRobust1d:
                     assert len(build.buckets) <= bound, (
                         f"n={n} m={m} eps={eps}: {len(build.buckets)} buckets > {bound:.0f}"
                     )
+
+    def test_exactly_shifted_line_gives_the_same_buckets_and_window(self) -> None:
+        # Multiples of 2^-24 below 2^6 stay exact after a shift by 2^27,
+        # so every distance and deviation the build compares is unchanged.
+        P, _ = gen_gaussian_clusters(200_000, 1, 1, 40_000, seed=(103, 0, 0))
+        pts = np.sort(np.round(P[:, 0] * 2.0**24) / 2.0**24)
+        moved = pts + 2.0**27
+        assert np.array_equal(moved - 2.0**27, pts)
+        base = build_robust_1d_full(pts, 40_000, 0.05)
+        shifted = build_robust_1d_full(moved, 40_000, 0.05)
+        assert [(b.l, b.r) for b in shifted.buckets] == [(b.l, b.r) for b in base.buckets]
+        np.testing.assert_array_equal(shifted.coreset.weights, base.coreset.weights)
+        assert shifted.window == base.window
+        assert robust_median_1d(moved, 40_000).inlier_window == base.window
+
+    def test_cap_constant_is_read_at_call_time(self, monkeypatch) -> None:
+        pts = gaussian_with_outliers(np.random.default_rng(6), 2000, 100)
+        rows = len(build_robust_1d(pts, 100, 0.1))
+        monkeypatch.setattr(coreset1d, "DEFAULT_DELTA_CONSTANT", 16.0)
+        assert len(build_robust_1d(pts, 100, 0.1)) < rows
 
     def test_invalid_arguments_rejected(self) -> None:
         pts = np.arange(20, dtype=np.float64)

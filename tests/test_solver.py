@@ -51,6 +51,20 @@ class TestRobustMedian1d:
             )
             assert res.centers.centers[0, 0] == center
 
+    def test_window_unchanged_by_an_exact_shift(self):
+        # Multiples of 2^-24 below 1 stay exact after a shift by 2^27.  At
+        # m = n - 1 every one-point window costs 0, so rounding alone could
+        # move the tie-break.
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(3, 40))
+            m = int(rng.integers(1, n))
+            pts = np.sort(np.round(rng.normal(size=n) * 2.0**20) / 2.0**24)
+            moved = pts + 2.0**27
+            assert np.array_equal(moved - 2.0**27, pts)
+            got = robust_median_1d(moved, m).inlier_window
+            assert got == robust_median_1d(pts, m).inlier_window, f"trial {trial}: n={n} m={m}"
+
     def test_cost_matches_robust_cost_recomputed(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
