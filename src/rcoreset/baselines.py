@@ -14,7 +14,7 @@ import operator
 import numpy as np
 
 from rcoreset.core import WeightedSet, as_points
-from rcoreset.coreset_nd import _sensitivity_draw, _split_at, build_inlier_coreset
+from rcoreset.coreset_nd import _sensitivity_draw, _split_at
 
 __all__ = [
     "build_hjlw23",
@@ -71,9 +71,12 @@ def build_hllw25(P, m: int, k: int, z: int, target_size: int, C_star, seed) -> W
     target_size = operator.index(target_size)
     if target_size < m:
         raise ValueError(f"target_size {target_size} is below the m={m} floor")
-    points, C, far, _, _ = _split_at(P, m, k, z, C_star)
-    S_I = build_inlier_coreset(points[~far], C, z, max(1, target_size - m), seed)
-    return _with_kept_outliers(points[far], S_I)
+    points, _, far, _, dpow = _split_at(P, m, k, z, C_star)
+    near = np.flatnonzero(~far)
+    rows, weights = _sensitivity_draw(
+        dpow[near], max(1, target_size - m), np.random.default_rng(seed)
+    )
+    return _with_kept_outliers(points[far], WeightedSet(points[near[rows]], weights))
 
 
 def build_uniform(P, target_size: int, seed) -> WeightedSet:

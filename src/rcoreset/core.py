@@ -152,22 +152,30 @@ def _nearest_dist_pow(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point (ties to the lower index) and dist(p, C)^z.
 
-    Distances are formed from explicit coordinate differences, one pass
-    per center, which avoids the cancellation error of the inner-product
-    expansion used by the batched evaluators and keeps the temporaries
-    at the size of ``points`` whatever the number of centers.
+    Distances are formed from explicit coordinate differences, which
+    avoids the cancellation error of the inner-product expansion used by
+    the batched evaluators.  The differences go through one reused
+    buffer of _BLOCK_FLOATS floats, a block of rows and one center at a
+    time, so no temporary grows with n or the number of centers.
     """
-    nearest = np.zeros(len(points), dtype=np.intp)
-    best = None
-    for j, c in enumerate(centers):
-        diff = points - c
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        if best is None:
-            best = d2
-        else:
-            closer = d2 < best
-            nearest[closer] = j
-            best[closer] = d2[closer]
+    n, d = points.shape
+    nearest = np.zeros(n, dtype=np.intp)
+    best = np.empty(n)
+    width = max(1, _BLOCK_FLOATS // max(d, 1))
+    buf = np.empty((min(width, n), d))
+    for lo in range(0, n, width):
+        rows = points[lo : lo + width]
+        diff = buf[: len(rows)]
+        near, low = nearest[lo : lo + width], best[lo : lo + width]
+        for j, c in enumerate(centers):
+            np.subtract(rows, c, out=diff)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            if j == 0:
+                low[:] = d2
+            else:
+                closer = d2 < low
+                near[closer] = j
+                low[closer] = d2[closer]
     return nearest, (np.sqrt(best) if z == 1 else best)
 
 
@@ -269,7 +277,8 @@ def outlier_split(P, C: CenterSet, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The outliers are the m points of largest dist(·, C)^z; ties at the
     cut go to the larger dataset index.  Both index arrays come back
-    sorted ascending.
+    sorted ascending.  Past the distance pass the split is one O(n)
+    selection, not a sort.
     """
     points = as_points(P)
     m = operator.index(m)
@@ -283,12 +292,22 @@ def _split_far(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask of outlier_split's m outliers, nearest center and dist^z per point.
 
-    ``points`` is an (n, d) float64 array and 0 <= m <= n.
+    ``points`` is an (n, d) float64 array and 0 <= m <= n.  The mask is
+    the last m entries of _canonical_order(dpow), found in O(n) by one
+    selection: every point above the cut value (the one at position
+    n - m of the sorted dist^z) is far, and the rest of the m are the
+    points equal to the cut with the largest dataset indices.
     """
     _check_dims(points, C)
     nearest, dpow = _nearest_dist_pow(points, C.centers, C.z)
-    far = np.zeros(len(points), dtype=bool)
-    far[_canonical_order(dpow)[len(points) - m :]] = True
+    n = len(points)
+    if m == 0:
+        return np.zeros(n, dtype=bool), nearest, dpow
+    cut = np.partition(dpow, n - m)[n - m]
+    far = dpow > cut
+    at_cut = np.flatnonzero(dpow == cut)
+    short = m - np.count_nonzero(far)
+    far[at_cut[len(at_cut) - short :]] = True
     return far, nearest, dpow
 
 

@@ -167,8 +167,30 @@ def _split_at(P, m: int, k: int, z: int, C_star):
 
 
 def _lex_rows(points: np.ndarray) -> np.ndarray:
-    """Row order sorting points lexicographically by coordinates."""
-    return np.lexsort(points.T[::-1])
+    """Row order sorting points lexicographically by coordinates.
+
+    Equals np.lexsort(points.T[::-1]): rows equal in every coordinate
+    keep their dataset order, and -0.0 ties with 0.0.  One argsort of
+    column 0 places every row; only rows whose column-0 value ties with
+    a neighbour's are then lexsorted over all columns and their dataset
+    index, in place.  That costs one O(n log n) sort of a single column
+    plus the tied rows' share of a full lexsort, which is all of it only
+    when column 0 is constant.  The coordinates must be finite
+    (as_points guarantees it).
+    """
+    column = np.ascontiguousarray(points[:, 0])
+    order = np.argsort(column)
+    first = column[order]
+    same = first[1:] == first[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    runs = order[tied]
+    # Distinct runs differ in column 0, so sorting the tied rows only
+    # reorders rows within their run; the index key restores dataset
+    # order among rows equal in every coordinate.
+    order[tied] = runs[np.lexsort((runs, *points[runs].T[::-1]))]
+    return order
 
 
 def sample_outlier_coreset(L_star, size: int, seed) -> WeightedSet:
@@ -271,7 +293,8 @@ def _rake(features: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray
 
 
 def _calibrate_near_weights(
-    P_I: np.ndarray,
+    points: np.ndarray,
+    near: np.ndarray,
     C: CenterSet,
     nearest: np.ndarray,
     dpow: np.ndarray,
@@ -280,42 +303,48 @@ def _calibrate_near_weights(
 ) -> np.ndarray:
     """Per-cluster raking of the drawn near rows onto P_I's exact totals.
 
-    For each cluster of C (points grouped by nearest center), the rows'
-    weights are rescaled by exp(f^T lam) so that their count, coordinate
-    sum relative to the center and z-cost at C equal those of the
-    cluster's points in P_I.  Features are standardized by the cluster's
-    per-coordinate RMS deviation and mean z-cost.  A cluster with fewer
-    rows than constraints, or whose Newton iteration fails, keeps its
-    drawn weights rescaled to its point count.  The result is scaled to
-    total |P_I|, which also covers clusters that drew no row.
+    P_I is points[near]; nearest, dpow and rows index it.  For each
+    cluster of C (points grouped by nearest center), the rows' weights
+    are rescaled by exp(f^T lam) so that their count, coordinate sum
+    relative to the center and z-cost at C equal those of the cluster's
+    points in P_I.  Each cluster's points are gathered from points on
+    their own, so no full copy of P_I is held here.  Features are
+    standardized by the cluster's per-coordinate RMS deviation and mean
+    z-cost.  A cluster with fewer rows than constraints, or whose Newton
+    iteration fails, keeps its drawn weights rescaled to its point count.
+    The result is scaled to total |P_I|, which also covers clusters that
+    drew no row.
     """
     out = weights.copy()
     row_cluster = nearest[rows]
-    n_features = P_I.shape[1] + 2
+    n_features = points.shape[1] + 2
     for j in range(len(C)):
         in_rows = np.flatnonzero(row_cluster == j)
         if len(in_rows) == 0:
             continue
         members = nearest == j
         count = int(np.count_nonzero(members))
-        diffs = P_I[members] - C.centers[j]
-        scale = np.sqrt(np.mean(diffs * diffs, axis=0))
+        # One n_j x d buffer: the deviations are summed, then squared in place.
+        diffs = points.take(near[members], axis=0)
+        diffs -= C.centers[j]
+        coord_sum = diffs.sum(axis=0)
+        scale = np.sqrt(np.mean(np.square(diffs, out=diffs), axis=0))
         scale[scale == 0.0] = 1.0
         cost = dpow[members]
         mu = float(np.mean(cost)) or 1.0
-        target = np.concatenate(([count], diffs.sum(axis=0) / scale, [cost.sum() / mu]))
+        target = np.concatenate(([count], coord_sum / scale, [cost.sum() / mu]))
         raked = None
         if len(in_rows) >= n_features:
             r = rows[in_rows]
             features = np.column_stack(
-                [np.ones(len(r)), (P_I[r] - C.centers[j]) / scale, dpow[r] / mu]
+                [np.ones(len(r)), (points[near[r]] - C.centers[j]) / scale, dpow[r] / mu]
             )
             raked = _rake(features, out[in_rows], target)
         if raked is None:
             out[in_rows] *= count / out[in_rows].sum()
         else:
             out[in_rows] = raked
-    out *= len(P_I) / out.sum()
+    out *= len(near) / out.sum()
     return out
 
 
@@ -336,7 +365,11 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     The far/near split happens at C_star with the canonical tie-break;
     both parts are put in coordinate-lexicographic order before
     sampling, so the output is invariant to input ordering whenever the
-    split itself is (distinct distances).  The near part is drawn as in
+    split itself is (distinct distances).  Besides the draw and the
+    calibration, the build costs one distance pass, one O(n) selection
+    for the split and one sort of column 0; only rows tied in column 0
+    get a full lexsort, and the order is the plain lexicographic one
+    either way.  The near part is drawn as in
     build_inlier_coreset, then calibrated: within each cluster of C_star
     (near points grouped by nearest center, ties to the lower index) the
     drawn weights are raked, w_i -> w_i * exp(f_i^T lam), until the rows
@@ -352,7 +385,7 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     order = _lex_rows(points)
     far_in_order = far[order]
     near = order[~far_in_order]
-    L_star, P_I = points[order[far_in_order]], points[near]
+    L_star = points[order[far_in_order]]
     rng = np.random.default_rng(cfg.seed)
     if m > 0:
         S_O = sample_outlier_coreset(L_star, cfg.resolved_outlier_size(points.shape[1]), rng)
@@ -362,7 +395,10 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     rows, weights = _sensitivity_draw(
         dpow, cfg.resolved_inlier_size(points.shape[1], k, z), rng
     )
-    weights = _calibrate_near_weights(P_I, C, nearest, dpow, rows, weights)
+    weights = _calibrate_near_weights(points, near, C, nearest, dpow, rows, weights)
+    # Gathered after the calibration, so no two n x d copies coexist;
+    # take copies whole rows, several times faster than fancy indexing.
+    P_I = points.take(near, axis=0)
     S_I = WeightedSet(P_I[rows], weights)
     if S_O is None:
         combined = S_I

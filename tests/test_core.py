@@ -26,6 +26,7 @@ from rcoreset.core import (
     _line_window_starts,
     _min_dist_pow_batch,
     _nearest_dist_pow,
+    _split_far,
     _sums_outward,
 )
 
@@ -183,6 +184,46 @@ class TestOutlierSplit:
         assert sorted(inl.tolist() + out.tolist()) == list(range(len(points)))
         kept_cost = robust_cost(np.atleast_2d(points)[inl], C, 0) if len(inl) else 0.0
         assert kept_cost == pytest.approx(robust_cost(points, C, m), rel=1e-12, abs=1e-12)
+
+
+class TestSplitFar:
+    """_split_far's selection against its definition: the last m entries
+    of the stable argsort of dist^z."""
+
+    @staticmethod
+    def definition_mask(dpow: np.ndarray, m: int) -> np.ndarray:
+        far = np.zeros(len(dpow), dtype=bool)
+        far[np.argsort(dpow, kind="stable")[len(dpow) - m :]] = True
+        return far
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=3),
+        k=st.integers(min_value=1, max_value=3),
+        z=st.sampled_from([1, 2]),
+        m_pick=st.sampled_from(["0", "1", "n-1", "n", "any"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_matches_stable_argsort_on_tie_heavy_grids(self, seed, n, d, k, z, m_pick):
+        # Few grid values, so many points share a distance and a cut
+        # value usually has equal points on both sides of it.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** int(rng.integers(-2, 9))
+        points = rng.integers(-2, 3, size=(n, d)) * scale
+        centers = rng.integers(-2, 3, size=(k, d)) * scale
+        m = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "any": int(rng.integers(0, n + 1))}[m_pick]
+        far, nearest, dpow = _split_far(points, CenterSet(centers, z=z), m)
+        want_nearest, want_dpow = _nearest_dist_pow(points, centers, z)
+        np.testing.assert_array_equal(nearest, want_nearest)
+        np.testing.assert_array_equal(dpow, want_dpow)
+        np.testing.assert_array_equal(far, self.definition_mask(dpow, m))
+
+    def test_all_points_tied(self):
+        points = np.zeros((7, 2))
+        for m in range(8):
+            far = _split_far(points, CenterSet(np.ones((1, 2)), z=2), m)[0]
+            assert np.flatnonzero(far).tolist() == list(range(7 - m, 7))
 
 
 class TestInlierAssignment:
@@ -395,6 +436,35 @@ class TestBatchEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 160 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
+class TestNearestDistPow:
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_blocks_match_one_whole_array_pass(self, d):
+        # The kernel works through blocks of _BLOCK_FLOATS // d rows; the
+        # reference forms every difference of one center at once.  A grid
+        # of inexact multiples of 1.1 with a repeated center ties often
+        # (ties go to the lower index) and rounds in every sum.
+        rng = np.random.default_rng(d)
+        n = 2 * (_BLOCK_FLOATS // d) + 17  # two full blocks and a partial one
+        points = rng.integers(-3, 4, size=(n, d)) * 1.1
+        centers = rng.integers(-3, 4, size=(4, d)) * 1.1
+        centers[2] = centers[0]
+        for z in (1, 2):
+            want_nearest = np.zeros(n, dtype=np.intp)
+            best = None
+            for j, c in enumerate(centers):
+                diff = points - c
+                d2 = np.einsum("ij,ij->i", diff, diff)
+                if best is None:
+                    best = d2
+                else:
+                    closer = d2 < best
+                    want_nearest[closer] = j
+                    best[closer] = d2[closer]
+            nearest, dpow = _nearest_dist_pow(points, centers, z)
+            np.testing.assert_array_equal(nearest, want_nearest)
+            np.testing.assert_array_equal(dpow, np.sqrt(best) if z == 1 else best)
 
 
 class TestMinDistPowBatch:

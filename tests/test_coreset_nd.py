@@ -21,6 +21,7 @@ from rcoreset.core import (
 )
 from rcoreset.coreset_nd import (
     NdCoresetConfig,
+    _lex_rows,
     build_inlier_coreset,
     build_robust_kz,
     build_robust_kz_full,
@@ -163,6 +164,47 @@ def gaussian_uniform_instance(rng, n, d, m):
     inliers = rng.normal(0.0, 1.0, (n - m, d))
     outliers = rng.uniform(-30.0, 30.0, (m, d))
     return np.concatenate([inliers, outliers])
+
+
+class TestLexRows:
+    """_lex_rows against the full lexicographic sort it replaces."""
+
+    @staticmethod
+    def assert_lexsort_order(P) -> None:
+        P = np.asarray(P, dtype=np.float64)
+        np.testing.assert_array_equal(_lex_rows(P), np.lexsort(P.T[::-1]))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=0, max_value=60),
+        d=st.integers(min_value=1, max_value=4),
+        levels=st.integers(min_value=1, max_value=4),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort_on_tie_heavy_grids(self, seed, n, d, levels, duplicate):
+        rng = np.random.default_rng(seed)
+        P = rng.integers(0, levels, size=(n, d)) * 0.5 - 0.5
+        if duplicate and n:
+            P = P[rng.integers(0, n, size=n)]
+        self.assert_lexsort_order(P)
+
+    def test_named_tie_patterns(self) -> None:
+        rng = np.random.default_rng(3)
+        grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), axis=-1).reshape(-1, 3)
+        cases = [
+            np.zeros((0, 3)),
+            np.array([[1.0, 2.0]]),
+            grid[rng.permutation(len(grid))],
+            np.repeat(grid[rng.permutation(len(grid))], 3, axis=0),
+            rng.integers(0, 3, size=(50, 1)).astype(float),
+            np.column_stack([np.full(40, 7.0), rng.integers(0, 3, size=(40, 2))]),
+            np.full((9, 4), 2.0),
+            np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0], [0.0, 0.0]]),
+            np.column_stack([rng.normal(size=30), rng.integers(0, 2, size=30)]),
+        ]
+        for P in cases:
+            self.assert_lexsort_order(P)
 
 
 class TestBuildRobustNd:
