@@ -9,9 +9,11 @@ units of weight, splitting at most one point fractionally at the
 inlier/outlier boundary.
 
 Ties at equal distance are always broken by dataset index, ascending,
-so every operation here is deterministic.  All operations are pure
-functions over inputs they never mutate and are safe to call from
-multiple threads.
+so every operation here is deterministic.  The batch evaluators' costs
+do not depend on that order: which of several tied points is kept or
+dropped does not change the cost, so they take ties in whatever order
+their selections leave.  All operations are pure functions over inputs
+they never mutate and are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -229,10 +231,12 @@ def inlier_assignment(S: WeightedSet, C: CenterSet, m: float) -> InlierAssignmen
 
 
 def _fill_sorted(w_sorted: np.ndarray, budget: float) -> np.ndarray:
-    """Kept weight when a budget fills weights sorted nearest-first on axis 0.
+    """What a budget takes of weights in their order along axis 0.
 
-    Each entry keeps clip(budget - weight sorted ahead of it, 0, w), so
-    the budget fills whole weights nearest-first and splits at most one.
+    Each entry takes clip(budget - weight sorted ahead of it, 0, w), so
+    the budget fills whole weights in order and splits at most one.
+    Sorted nearest-first this is the kept weight; sorted farthest-first
+    with budget m, the dropped weight.
     """
     ahead = np.zeros_like(w_sorted)
     np.cumsum(w_sorted[:-1], axis=0, out=ahead[1:])
@@ -509,14 +513,46 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
 
 
 def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.ndarray:
-    """robust_cost_weighted of S at many center sets; centers (T, k, d)."""
+    """robust_cost_weighted of S at many center sets; centers (T, k, d).
+
+    Only the m dropped units of weight need an order.  Once per call, r
+    is the smallest count whose r smallest weights sum to at least m,
+    plus one row of slack: that row weighs at least the mean of those
+    before it, which covers the cumsum's relative rounding j 2^-53 for
+    any j < 6e7 rows.  Any r rows then hold m units, so at each set the
+    m dropped units lie among its r farthest rows and every other row is
+    kept whole.  Per set, one selection splits off those r rows, the
+    rest is summed as w d, and only the r rows are sorted and give up m
+    units farthest-first, so the fill's rounding is at the scale of m,
+    not of w(S).  That is O(T |S| + T r log r) time past the distances,
+    and in memory the distance chunk of at most 1.6e7 floats plus its
+    selection indices.  Tied rows may be taken in any order, as that
+    does not change the cost.  m = 0 keeps every weight whole, and
+    m = w(S) costs exactly 0.
+    """
     total = S.total_weight
     m = float(_as_outlier_count(float(m), total, "w(S)"))
     batch = _prepare_center_batch(centers, S.dim)
-    costs = np.empty(len(batch))
+    costs = np.zeros(len(batch))
+    n, w = len(S), S.weights
+    if n == 0 or m == total:
+        return costs
+    r = min(n, int(np.searchsorted(np.cumsum(np.sort(w)), m)) + 2)
     for lo, hi, dmin in _min_dist_pow_chunks(S.points, batch, z):
-        order = np.argsort(dmin.T, axis=0, kind="stable")  # one column per set
-        d_s = np.take_along_axis(dmin.T, order, axis=0)
-        kept = _fill_sorted(S.weights[order], total - m)
-        costs[lo:hi] = np.einsum("ij,ij->j", kept, d_s)
+        if m == 0.0:
+            costs[lo:hi] = dmin @ w
+            continue
+        # Entries are gathered by flat index, one set per row of dmin.
+        sets = np.arange(len(dmin))[:, None]
+        if r < n:
+            top = np.argpartition(dmin, n - r, axis=1)[:, n - r :] + sets * n
+            d_top = dmin.take(top)
+            dmin.put(top, 0.0)
+            costs[lo:hi] = dmin @ w  # the rows kept whole
+        else:
+            top, d_top = sets * n + np.arange(n), dmin
+        order = np.argsort(d_top, axis=1)[:, ::-1] + sets * r  # farthest first
+        w_top = w.take(top.take(order) % n)
+        dropped = _fill_sorted(w_top.T, m)
+        costs[lo:hi] += np.einsum("ij,ji->i", d_top.take(order), w_top.T - dropped)
     return costs

@@ -126,13 +126,8 @@ def empirical_error(
     """
     points = as_points(P)
     centers = draw_candidate_centers(points, k, num_centers, seed)
-    cost_P = robust_cost_many(points, centers, z, m)
-    cost_S = robust_cost_weighted_many(S, centers, z, m)
-    valid = cost_P > 0.0
-    skipped = int(np.sum(~valid))
-    if skipped == num_centers:
-        raise ValueError("robust cost of P was zero at every sampled center")
-    errors = np.abs(cost_S[valid] - cost_P[valid]) / cost_P[valid]
+    errors_of, skipped = _error_scorer(points, centers, z, m)
+    errors = errors_of(S)
     return EvalReport(
         builder=builder,
         coreset_rows=len(S),
@@ -141,6 +136,27 @@ def empirical_error(
         per_center_errors=tuple(float(e) for e in errors),
         skipped_centers=skipped,
     )
+
+
+def _error_scorer(
+    points: np.ndarray, centers: np.ndarray, z: int, m: int
+) -> tuple[Callable[[WeightedSet], np.ndarray], int]:
+    """Score weighted sets against P's robust cost at shared centers.
+
+    Returns (errors, skipped): errors(S) gives |cost_S - cost_P| / cost_P
+    at every center where cost_P > 0, and skipped counts the others.
+    Raises ValueError if cost_P is zero at every center.
+    """
+    cost_P = robust_cost_many(points, centers, z, m)
+    valid = cost_P > 0.0
+    if not np.any(valid):
+        raise ValueError("robust cost of P was zero at every sampled center")
+    cost_P = cost_P[valid]
+
+    def errors(S: WeightedSet) -> np.ndarray:
+        return np.abs(robust_cost_weighted_many(S, centers, z, m)[valid] - cost_P) / cost_P
+
+    return errors, int(np.sum(~valid))
 
 
 @dataclass(frozen=True)
@@ -254,19 +270,13 @@ def sweep_size_error(
     for trial in range(trials):
         trial_seed = (seed, trial)
         centers = draw_candidate_centers(points, k, num_centers, trial_seed)
-        cost_P = robust_cost_many(points, centers, z, m)
-        valid = cost_P > 0.0
-        if not np.any(valid):
-            raise ValueError("robust cost of P was zero at every sampled center")
+        errors_of, _ = _error_scorer(points, centers, z, m)
         for name, build in builders.items():
             for size in sizes:
                 t0 = time.perf_counter()
                 S = build(points, m, k, z, int(size), trial_seed)
                 build_time = time.perf_counter() - t0
-                cost_S = robust_cost_weighted_many(S, centers, z, m)
-                err = float(
-                    np.max(np.abs(cost_S[valid] - cost_P[valid]) / cost_P[valid])
-                )
+                err = float(np.max(errors_of(S)))
                 rows.append(
                     SweepRow(
                         builder=name,

@@ -9,6 +9,7 @@ truth.  These helpers are test-only and favour clarity over speed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,6 +83,25 @@ def oracle_weighted_cost(points, weights, centers, z: int, m: float) -> float:
         removed = grid[ok] @ d[others] + share[ok] * d[v]
         best = min(best, total - float(removed.max()))
     return best
+
+
+def oracle_weighted_cost_exact(points, weights, centers, z: int, m: float) -> float:
+    """Weighted robust cost by a nearest-first fill in exact rational arithmetic.
+
+    dist^z comes from oracle_dist_pow; every weight, m and product after
+    that is a Fraction, so the only rounding is in the distances and in
+    the final conversion to float.
+    """
+    d = oracle_dist_pow(points, centers, z)
+    budget = sum((Fraction(float(w)) for w in weights), Fraction(0)) - Fraction(float(m))
+    cost = Fraction(0)
+    for i in sorted(range(len(d)), key=lambda i: (d[i], i)):
+        if budget <= 0:
+            break
+        take = min(Fraction(float(weights[i])), budget)
+        cost += take * Fraction(float(d[i]))
+        budget -= take
+    return float(cost)
 
 
 def oracle_robust_cost(points, centers, z: int, m: int) -> float:

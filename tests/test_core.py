@@ -31,10 +31,12 @@ from rcoreset.core import (
 )
 
 from oracles import (
+    oracle_dist_pow,
     oracle_evict_farthest_1d,
     oracle_robust_cost,
     oracle_weighted_cost,
     oracle_weighted_cost_all_integer_m,
+    oracle_weighted_cost_exact,
     oracle_window_at_center,
     tie_heavy_line,
 )
@@ -59,6 +61,44 @@ def weighted_instances(draw, max_points: int = 8, max_weight: int = 3):
     weights = rng.integers(1, max_weight + 1, size=n).astype(float)
     m = draw(st.integers(min_value=0, max_value=int(weights.sum())))
     return points, weights, centers, z, m
+
+
+@st.composite
+def tie_heavy_weighted_batches(draw):
+    """A tie-heavy weighted set, a batch of 3 center sets, z and m.
+
+    Points repeat rows of a small integer grid and centers sit on the
+    same grid, so equal distances are common.  Weights are small
+    integers or quarters below 1 (the bound r then often covers every
+    row).  m is 0, w(S), a sum of whole farthest rows at the first set
+    (a row boundary, fractional with quarter weights) or a quarter grid
+    value in between.
+    """
+    n = draw(st.integers(min_value=0, max_value=6))
+    d = draw(st.sampled_from([1, 3]))
+    k = draw(st.integers(min_value=1, max_value=2))
+    z = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    grid = rng.integers(-2, 3, size=(3, d)).astype(float)
+    points = grid[rng.integers(0, 3, size=n)]
+    batch = rng.integers(-2, 3, size=(3, k, d)).astype(float)
+    if draw(st.booleans()):
+        weights = rng.integers(1, 4, size=n).astype(float)
+    else:
+        weights = rng.choice([0.25, 0.5, 0.75], size=n)
+    total = float(weights.sum())
+    kind = draw(st.sampled_from(["zero", "all", "boundary", "quarter"]))
+    if kind == "zero" or n == 0:
+        m = 0.0
+    elif kind == "all":
+        m = total
+    elif kind == "boundary":
+        d0 = oracle_dist_pow(points, batch[0], z)
+        far_first = sorted(range(n), key=lambda i: (d0[i], i), reverse=True)
+        m = float(weights[far_first[: draw(st.integers(0, n))]].sum())
+    else:
+        m = 0.25 * draw(st.integers(min_value=0, max_value=int(4 * total)))
+    return points, weights, batch, z, m
 
 
 class TestDist:
@@ -413,6 +453,42 @@ class TestBatchEvaluators:
         assert np.array_equal(got, np.zeros(4))
         assert robust_cost_weighted(S, CenterSet(batch[0], z=z), 0) == 0.0
 
+    @given(tie_heavy_weighted_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_many_matches_oracles_on_ties(self, instance):
+        points, weights, batch, z, m = instance
+        S = WeightedSet(points, weights)
+        got = robust_cost_weighted_many(S, batch, z, m)
+        if m == S.total_weight:
+            assert np.array_equal(got, np.zeros(len(batch))), f"m = w(S) costs {got}"
+        exact = [oracle_weighted_cost_exact(points, weights, c, z, m) for c in batch]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+        if len(points) and np.all(weights == np.round(weights)):
+            # The enumeration oracle handles integer weights only, and it
+            # subtracts from the whole cost w.d, so it errs at that scale.
+            for c, cost in zip(batch, got):
+                whole = float(weights @ oracle_dist_pow(points, c, z))
+                want = oracle_weighted_cost(points, weights, c, z, m)
+                assert cost == pytest.approx(want, rel=1e-12, abs=1e-12 * whole)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_weighted_many_heavy_far_rows_stay_accurate(self, z):
+        # w(S) is about 1e9 and the far rows, 1e3 out, weigh 1-3 each: a
+        # fill that subtracts running sums at the scale of w(S) errs by
+        # 3e-13 (z = 1) and 2e-10 (z = 2) relative on the far rows' share.
+        rng = np.random.default_rng(11)
+        near = rng.normal(size=(400, 3))
+        far = rng.normal(size=(60, 3))
+        far *= 1e3 / np.linalg.norm(far, axis=1, keepdims=True)
+        points = np.vstack([near, far])
+        weights = np.concatenate([rng.uniform(1e6, 4e6, 400), rng.uniform(1, 3, 60)])
+        S = WeightedSet(points, weights)
+        batch = near[rng.choice(400, size=(8, 2), replace=False)]
+        for m in (40.5, float(weights[400:].sum()) - 0.25, 60.0):
+            got = robust_cost_weighted_many(S, batch, z, m)
+            want = [oracle_weighted_cost_exact(points, weights, c, z, m) for c in batch]
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f"m={m}")
+
     def test_line_memory_stays_linear_in_n(self):
         rng = np.random.default_rng(8)
         points = np.sort(rng.normal(size=200_000)).reshape(-1, 1)
@@ -436,6 +512,18 @@ class TestBatchEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 160 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    def test_weighted_nd_memory_stays_bounded(self):
+        rng = np.random.default_rng(10)
+        S = WeightedSet(rng.normal(size=(100_000, 10)), rng.uniform(0.5, 2.0, 100_000))
+        batch = S.points[rng.choice(100_000, size=(100, 5), replace=False)]
+        tracemalloc.start()
+        try:
+            robust_cost_weighted_many(S, batch, 1, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
 
 class TestNearestDistPow:
