@@ -8,12 +8,16 @@ real line.  The robust cost of a point set at a center set drops the
 units of weight, splitting at most one point fractionally at the
 inlier/outlier boundary.
 
-Ties at equal distance are always broken by dataset index, ascending,
-so every operation here is deterministic.  The batch evaluators' costs
-do not depend on that order: which of several tied points is kept or
-dropped does not change the cost, so they take ties in whatever order
-their selections leave.  All operations are pure functions over inputs
-they never mutate and are safe to call from multiple threads.
+Every robust cost and inlier assignment drops farthest-first, ties at
+equal distance dropping the larger dataset index first.  The weighted
+fill's running sums are over the dropped weight only, so its rounding
+is at the scale of m, not of w(S).  A point wholly inside the m units
+keeps exactly 0 only when those running sums are exact; otherwise the
+point at the boundary may keep a residue of a few ulps of m.  The batch
+evaluators' costs do not depend on the tie order, so they take ties in
+whatever order their selections leave.  All operations are pure
+functions over inputs they never mutate and are safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -181,14 +185,6 @@ def _nearest_dist_pow(
     return nearest, (np.sqrt(best) if z == 1 else best)
 
 
-def _canonical_order(dist_pow: np.ndarray) -> np.ndarray:
-    """Indices sorted by (distance, dataset index), both ascending.
-
-    A stable sort keeps equal distances in index order.
-    """
-    return np.argsort(dist_pow, kind="stable")
-
-
 def _as_outlier_count(m, limit: float, what: str):
     if isinstance(m, (bool, np.bool_)):
         raise ValueError(f"m must be a number, got {m!r}")
@@ -200,32 +196,32 @@ def _as_outlier_count(m, limit: float, what: str):
 
 
 def robust_cost(P, C: CenterSet, m: int) -> float:
-    """Sum of the |P| - m smallest dist(p, C)^z values."""
+    """Sum of dist(p, C)^z over P without outlier_split's m outliers."""
     points = as_points(P)
-    _check_dims(points, C)
     m = operator.index(m)
     _as_outlier_count(m, len(points), "|P|")
-    dpow = _nearest_dist_pow(points, C.centers, C.z)[1]
-    keep = len(points) - m
-    if keep == 0:
-        return 0.0
-    order = _canonical_order(dpow)
-    return float(np.sum(dpow[order[:keep]]))
+    far, _, dpow = _split_far(points, C, m)
+    return float(np.sum(dpow[~far]))
 
 
 def robust_cost_weighted(S: WeightedSet, C: CenterSet, m: float) -> float:
     """Weighted robust cost: drop m units of weight, farthest first.
 
     Equals the minimum of sum w'(p) * dist(p, C)^z over weight functions
-    0 <= w' <= w with total w(S) - m; the minimiser keeps the nearest
-    weight greedily and splits at most one point fractionally.
+    0 <= w' <= w with total w(S) - m.  The minimiser drops whole weights
+    farthest-first, ties to the larger index first, and splits at most
+    one point.
     """
     cost, _, _ = _weighted_fill(S, C, m)
     return cost
 
 
 def inlier_assignment(S: WeightedSet, C: CenterSet, m: float) -> InlierAssignment:
-    """The weight function w' achieving robust_cost_weighted(S, C, m)."""
+    """The weight function w' achieving robust_cost_weighted(S, C, m).
+
+    Points inside the m units dropped farthest-first keep 0, up to the
+    fill's rounding at the scale of m (see the module docstring).
+    """
     _, kept, partial = _weighted_fill(S, C, m)
     return InlierAssignment(kept_weight=kept, partial_index=partial)
 
@@ -243,37 +239,33 @@ def _fill_sorted(w_sorted: np.ndarray, budget: float) -> np.ndarray:
     return np.clip(budget - ahead, 0.0, w_sorted)
 
 
-def _greedy_fill(
-    dpow: np.ndarray, w: np.ndarray, budget: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical order and the kept weight per point of a budget fill."""
-    order = _canonical_order(dpow)
-    kept = np.empty(len(w))
-    kept[order] = _fill_sorted(w[order], budget)
-    return order, kept
+def _drop_farthest(dpow: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
+    """Kept weight per row once m units are dropped farthest-first.
+
+    The reversed stable order drops ties to the larger index first, and
+    _fill_sorted gives up m units along it, so rows past the m units
+    drop 0 and keep their weight.  m = w(S) keeps nothing.
+    """
+    if m == float(np.sum(w)):
+        return np.zeros_like(w)
+    order = np.argsort(dpow, kind="stable")[::-1]
+    dropped = np.empty(len(w))
+    dropped[order] = _fill_sorted(w[order], m)
+    return w - dropped
 
 
 def _weighted_fill(
     S: WeightedSet, C: CenterSet, m: float
 ) -> tuple[float, np.ndarray, int | None]:
-    """Keep w(S) - m units of weight nearest-first; return (cost, w', partial)."""
+    """Drop m units of weight farthest-first; return (cost, w', partial)."""
     _check_dims(S.points, C)
-    total = S.total_weight
-    m = float(_as_outlier_count(float(m), total, "w(S)"))
+    m = float(_as_outlier_count(float(m), S.total_weight, "w(S)"))
     dpow = _nearest_dist_pow(S.points, C.centers, C.z)[1]
-    if m == 0.0:
-        # Keeping every weight whole keeps exact equality with the
-        # unweighted evaluator, which a fill to the rounded total may not.
-        order, kept = _canonical_order(dpow), S.weights.copy()
-    else:
-        order, kept = _greedy_fill(dpow, S.weights, total - m)
-    # The kept points lead the canonical order; only the last may be split.
-    inliers = order[: np.count_nonzero(kept)]
+    kept = _drop_farthest(dpow, S.weights, m)
+    inliers = kept > 0
     cost = float(np.sum(kept[inliers] * dpow[inliers]))
-    partial: int | None = None
-    if len(inliers) and kept[inliers[-1]] < S.weights[inliers[-1]]:
-        partial = int(inliers[-1])
-    return cost, kept, partial
+    partial = np.flatnonzero(inliers & (kept < S.weights))
+    return cost, kept, (int(partial[0]) if len(partial) else None)
 
 
 def outlier_split(P, C: CenterSet, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +289,8 @@ def _split_far(
     """Mask of outlier_split's m outliers, nearest center and dist^z per point.
 
     ``points`` is an (n, d) float64 array and 0 <= m <= n.  The mask is
-    the last m entries of _canonical_order(dpow), found in O(n) by one
-    selection: every point above the cut value (the one at position
+    the last m entries of the stable argsort of dpow, found in O(n) by
+    one selection: every point above the cut value (the one at position
     n - m of the sorted dist^z) is far, and the rest of the m are the
     points equal to the cut with the largest dataset indices.
     """

@@ -350,13 +350,11 @@ def _calibrate_near_weights(
 
 @dataclass(frozen=True)
 class NdBuild:
-    """Build record: the combined coreset plus its two parts and the split."""
+    """Build record: the combined coreset plus its two parts."""
 
     coreset: WeightedSet
     outlier_rows: WeightedSet | None
     inlier_rows: WeightedSet
-    L_star: np.ndarray
-    P_I_star: np.ndarray
 
 
 def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star) -> NdBuild:
@@ -385,9 +383,9 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     order = _lex_rows(points)
     far_in_order = far[order]
     near = order[~far_in_order]
-    L_star = points[order[far_in_order]]
     rng = np.random.default_rng(cfg.seed)
     if m > 0:
+        L_star = points[order[far_in_order]]
         S_O = sample_outlier_coreset(L_star, cfg.resolved_outlier_size(points.shape[1]), rng)
     else:
         S_O = None
@@ -396,10 +394,7 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
         dpow, cfg.resolved_inlier_size(points.shape[1], k, z), rng
     )
     weights = _calibrate_near_weights(points, near, C, nearest, dpow, rows, weights)
-    # Gathered after the calibration, so no two n x d copies coexist;
-    # take copies whole rows, several times faster than fancy indexing.
-    P_I = points.take(near, axis=0)
-    S_I = WeightedSet(P_I[rows], weights)
+    S_I = WeightedSet(points.take(near[rows], axis=0), weights)
     if S_O is None:
         combined = S_I
     else:
@@ -407,13 +402,7 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
             np.concatenate([S_O.points, S_I.points]),
             np.concatenate([S_O.weights, S_I.weights]),
         )
-    return NdBuild(
-        coreset=combined,
-        outlier_rows=S_O,
-        inlier_rows=S_I,
-        L_star=L_star,
-        P_I_star=P_I,
-    )
+    return NdBuild(coreset=combined, outlier_rows=S_O, inlier_rows=S_I)
 
 
 def build_robust_kz(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star) -> WeightedSet:

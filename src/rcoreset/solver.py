@@ -16,7 +16,7 @@ import numpy as np
 from rcoreset.core import (
     CenterSet,
     _abs_dev_sum,
-    _greedy_fill,
+    _fill_sorted,
     _nearest_dist_pow,
     _sums_outward,
     as_points,
@@ -173,7 +173,11 @@ def lloyd_with_outliers(
     def evaluate(ctrs: np.ndarray):
         """Nearest center, its dist^z, kept weight and robust cost."""
         nearest, dmin = _nearest_dist_pow(points, ctrs, z)
-        kept = _greedy_fill(dmin, w, budget)[1]
+        # Nearest-first, not core's drop: its roundoff steers empty-cluster
+        # reseeds that criterion 11 relies on (CHANGES.md, the Lloyd FOUND:).
+        order = np.argsort(dmin, kind="stable")
+        kept = np.empty(n)
+        kept[order] = _fill_sorted(w[order], budget)
         return nearest, dmin, kept, float(np.sum(kept * dmin))
 
     nearest, dmin, kept, prev_cost = evaluate(centers)
@@ -193,7 +197,7 @@ def lloyd_with_outliers(
                 new_centers[j] = np.average(cluster, axis=0, weights=cw)
             else:
                 proposal = _coordinate_median(cluster, cw)
-                now = float(np.sum(cw * _nearest_dist_pow(cluster, centers[j : j + 1], 1)[1]))
+                now = float(np.sum(cw * dmin[mask]))  # its points' nearest center is j
                 new = float(np.sum(cw * _nearest_dist_pow(cluster, proposal[None, :], 1)[1]))
                 if new <= now:
                     new_centers[j] = proposal

@@ -285,6 +285,34 @@ class TestInlierAssignment:
         assert a.kept_weight.tolist() == [0.5, 3.0]
         assert a.partial_index is None
 
+    def test_rows_inside_the_dropped_units_keep_exactly_zero(self):
+        # The 8 far rows weigh exactly m together.  A fill that keeps
+        # w(S) - m units nearest-first rounds at the scale of w(S): it left
+        # 1.4e-14 on one far row and reported that row as partial.
+        rng = np.random.default_rng(3)
+        m = 40.0
+        near = rng.normal(size=50)
+        w_near = rng.uniform(0.5, 2.0, size=50)
+        far = 100.0 + rng.uniform(size=8)
+        S = WeightedSet(np.concatenate([near, far]), np.concatenate([w_near, np.full(8, m / 8)]))
+        a = inlier_assignment(S, CenterSet([0.0], z=1), m)
+        assert a.kept_weight[50:].tolist() == [0.0] * 8
+        np.testing.assert_array_equal(a.kept_weight[:50], w_near)
+        assert a.partial_index is None
+
+    def test_dropped_rows_round_at_the_scale_of_m(self):
+        # 0.1 + 0.1 is not exact, so the third-farthest row drops
+        # 0.3 - 0.2 = 0.09999999999999998 and keeps 2.8e-17 instead of 0:
+        # exact 0 needs exact running sums, but the residue stays a few
+        # ulps of m.
+        m = 0.3
+        S = WeightedSet(np.arange(4.0), np.full(4, 0.1))
+        a = inlier_assignment(S, CenterSet([0.0], z=1), m)
+        assert a.kept_weight[0] == 0.1
+        assert a.kept_weight[2:].tolist() == [0.0, 0.0]
+        assert 0.0 <= a.kept_weight[1] <= 4 * np.finfo(float).eps * m
+        assert a.partial_index in (None, 1)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_fill_matches_eviction_loop_on_tie_heavy_lines(self, seed):
@@ -475,7 +503,8 @@ class TestBatchEvaluators:
     def test_weighted_many_heavy_far_rows_stay_accurate(self, z):
         # w(S) is about 1e9 and the far rows, 1e3 out, weigh 1-3 each: a
         # fill that subtracts running sums at the scale of w(S) errs by
-        # 3e-13 (z = 1) and 2e-10 (z = 2) relative on the far rows' share.
+        # 3e-13 (z = 1) and 2e-10 (z = 2) relative on the far rows' share,
+        # in the batch evaluator and the scalar one alike.
         rng = np.random.default_rng(11)
         near = rng.normal(size=(400, 3))
         far = rng.normal(size=(60, 3))
@@ -488,6 +517,8 @@ class TestBatchEvaluators:
             got = robust_cost_weighted_many(S, batch, z, m)
             want = [oracle_weighted_cost_exact(points, weights, c, z, m) for c in batch]
             np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f"m={m}")
+            scalar = [robust_cost_weighted(S, CenterSet(c, z=z), m) for c in batch]
+            np.testing.assert_allclose(scalar, want, rtol=1e-13, err_msg=f"scalar, m={m}")
 
     def test_line_memory_stays_linear_in_n(self):
         rng = np.random.default_rng(8)
@@ -553,6 +584,24 @@ class TestNearestDistPow:
             nearest, dpow = _nearest_dist_pow(points, centers, z)
             np.testing.assert_array_equal(nearest, want_nearest)
             np.testing.assert_array_equal(dpow, np.sqrt(best) if z == 1 else best)
+
+    def test_cluster_rows_match_a_pass_at_their_own_center(self):
+        # Lloyd's z = 1 recenter test reads a cluster's distances to its
+        # own center off the pass over all centers: they must be the same
+        # bits as a pass over the cluster's rows at that center alone.
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            d = int(rng.integers(1, 11))
+            n = int(rng.integers(1, 2 * (_BLOCK_FLOATS // d) + 50))
+            k = int(rng.integers(1, min(n, 5) + 1))
+            points = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
+            points += rng.normal(scale=100.0, size=d)
+            centers = points[rng.choice(n, size=k, replace=False)] + rng.normal(size=(k, d))
+            nearest, dpow = _nearest_dist_pow(points, centers, 1)
+            for j in range(k):
+                mask = nearest == j
+                own = _nearest_dist_pow(points[mask], centers[j : j + 1], 1)[1]
+                np.testing.assert_array_equal(dpow[mask], own)
 
 
 class TestMinDistPowBatch:

@@ -243,9 +243,10 @@ class TestBuildRobustNd:
         for P, m, z in inputs:
             full = build_robust_kz_full(P, m, 1, z, cfg, c)
             inl, out = outlier_split(P, CenterSet(c, z=z), m)
-            for part, idx in ((full.L_star, out), (full.P_I_star, inl)):
-                want = P[idx]
-                np.testing.assert_array_equal(part, want[np.lexsort(want.T[::-1])])
+            # Each part of the coreset is drawn from its part of the split.
+            for part, idx in ((full.outlier_rows, out), (full.inlier_rows, inl)):
+                rows = {tuple(p) for p in P[idx]}
+                assert all(tuple(p) in rows for p in part.points)
             S1 = full.coreset
             S2 = build_robust_kz(P, m, 1, z, cfg, c)
             S3 = build_robust_kz(P[rng.permutation(len(P))], m, 1, z, cfg, c)
@@ -308,7 +309,8 @@ class TestNearCalibration:
             build = build_robust_kz_full(P, m, k, z, cfg, C)
             S_I = build.inlier_rows
             assert np.all(S_I.weights > 0)
-            want = self.cluster_totals(build.P_I_star, np.ones(len(build.P_I_star)), C)
+            P_I = P[outlier_split(P, C, m)[0]]
+            want = self.cluster_totals(P_I, np.ones(len(P_I)), C)
             got = self.cluster_totals(S_I.points, S_I.weights, C)
             for (n_w, s_w, c_w, a_w), (n_g, s_g, c_g, _) in zip(want, got):
                 assert n_g == pytest.approx(n_w, rel=1e-9)
@@ -376,7 +378,8 @@ class TestStructuralGuarantees:
             cfg = NdCoresetConfig(eps=eps, seed=trial)
             build = build_robust_kz_full(P, m, 1, 1, cfg, c_star)
             S, n_o = build.coreset, len(build.outlier_rows)
-            far_rows = {tuple(p) for p in build.L_star}
+            far_idx = outlier_split(P, CenterSet(c_star, z=1), m)[1]
+            far_rows = {tuple(p) for p in P[far_idx]}
             for c in P[rng.choice(n, 40, replace=False)]:
                 C = CenterSet(c.reshape(1, d), z=1)
                 _, out_c = outlier_split(P, C, m)
