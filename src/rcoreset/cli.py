@@ -117,10 +117,44 @@ def parse_dataset(path: str) -> np.ndarray:
     Lines starting with ``#`` and blank lines are skipped.  A first
     data row with any non-numeric cell is treated as a header.  Ragged
     rows, non-numeric cells, and non-finite values are rejected with
-    their line number.
+    their line number.  The file is UTF-8, with or without a byte-order
+    mark.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read()
+    lines = [t for t in map(str.strip, raw.splitlines()) if t and not t.startswith("#")]
+    if lines and not _all_float(lines[0]):
+        del lines[0]  # header row: skipped
+    if lines:
+        # comments=None: with "#" loadtxt would accept "1,2#x".
+        try:
+            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if arr.shape[0] == len(lines) and np.isfinite(arr).all():
+                return arr
+    # loadtxt rejects spellings float() takes (1_0, non-ASCII digits), and
+    # only the line loop names the line at fault.
+    return _parse_lines(path, raw)
+
+
+def _all_float(text: str) -> bool:
+    """Whether every comma-separated cell of a data line passes float()."""
+    try:
+        for cell in text.split(","):
+            float(cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_lines(path: str, raw: str) -> np.ndarray:
+    """``parse_dataset``'s rules applied one line at a time.
+
+    The reference for what the CSV format accepts, and the only source
+    of its error messages.
+    """
     rows: list[list[float]] = []
     width: int | None = None
     saw_header = False

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcoreset import cli
 from rcoreset.cli import (
@@ -83,6 +85,93 @@ class TestParseDataset:
         path.write_text("x,y\n")
         with pytest.raises(DataFormatError, match="no data rows"):
             parse_dataset(str(path))
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeff1,2\n3,4\n", encoding="utf-8")
+        assert np.array_equal(parse_dataset(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("\ufeffx,y\n1,2\n3,4\n", encoding="utf-8")
+        assert np.array_equal(parse_dataset(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_writers_files_take_the_vectorised_path(self, tmp_path, monkeypatch):
+        def no_line_loop(path, raw):
+            raise AssertionError(f"{path} fell back to the line loop")
+
+        monkeypatch.setattr(cli, "_parse_lines", no_line_loop)
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+        pts[0] = [-0.0, 5e-324, 1e308, -1e308]
+        weights = rng.uniform(0.5, 9.0, 50)
+        weights[:2] = [5e-324, 1e308]
+        path = str(tmp_path / "pts.csv")
+        write_points_csv(path, pts, seed=9)
+        assert parse_dataset(path).tobytes() == pts.tobytes()
+        write_points_csv(path, pts[:, 0], seed=9)
+        assert parse_dataset(path).tobytes() == pts[:, 0].tobytes()
+        write_coreset_csv(path, WeightedSet(pts, weights), seed=9)
+        back = parse_weighted_set(path)
+        assert back.points.tobytes() == pts.tobytes()
+        assert back.weights.tobytes() == weights.tobytes()
+
+
+# Cells the CSV writers produce, and other spellings float() accepts.
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["0.25", "+1", ".5", "5.", "1E5", "-0", " 2 ", "7\t"]),
+)
+# Cells on which the vectorised pass and float() may part ways, or
+# which a data row must reject.
+_ODD_CELLS = st.sampled_from([
+    "1_0", "\u0661", "\uff11", "nan", "inf", "-inf", "1e500", "", "1 2", "2#x", "x",
+])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: a few columns, with comments, blanks, a header and odd cells."""
+    width = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    # In an odd file about one cell in eight is odd, so most of its rows stay valid.
+    cell = st.one_of(*[_PLAIN_CELLS] * 7, _ODD_CELLS) if odd else _PLAIN_CELLS
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["x", "1", "weight"]))
+                              for _ in range(width)))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# note", "  # 1,2"])))
+        else:
+            cells = width + (draw(st.integers(-1, 1)) if odd and kind == 1 else 0)
+            lines.append(",".join(draw(cell) for _ in range(max(cells, 1))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("parse") / "p.csv")
+
+
+@given(_csv_texts())
+@example("3,4\n1,2#x\n")  # loadtxt with comments="#" would accept this
+@example("x,y\r\n1_0,\u0661\r\n\uff11,2\r\n")
+@settings(max_examples=400, deadline=None)
+def test_parse_dataset_matches_the_line_loop(scratch_csv, text):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        want = cli._parse_lines(scratch_csv, text)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            parse_dataset(scratch_csv)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_dataset(scratch_csv)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCoresetFiles:
