@@ -6,8 +6,8 @@ the m-point fringes on each side are partitioned into distance blocks
 around the anchors c_L = c* - r_max and c_R = c* + r_max (c* the exact
 robust median, r_max its inlier radius).  Each block is chopped greedily
 into buckets whose cumulative error and size stay below level-scaled
-caps, buckets are realigned with the inlier windows of the two boundary
-centers, and every bucket is emitted as (mean, count).
+caps, and cut again at the inlier-window edges of the two boundary
+centers.
 
 The vanilla subroutine reuses the same block/bucket machinery centered
 at the plain median with scale r_bar (the average absolute deviation).
@@ -15,13 +15,17 @@ Its far region is realised as extra levels continuing past the nominal
 top level so that distant mass stays error-capped in proportion to its
 distance.  Both share the cap denominator ``DEFAULT_DELTA_CONSTANT``, a
 module constant read at call time.
+
+Every stage only decides where buckets start: a build cuts the sorted
+points first, then summarises every bucket as (mean, count) in one
+vectorised pass (``bucket_stats`` is that pass on one range).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,22 +106,36 @@ class BlockPartition:
         return [*self.far_left, *self.far_right, *self.inner.values()]
 
 
+def _summarise(pts: np.ndarray, starts) -> tuple[WeightedSet, list[Bucket]]:
+    """Coreset rows and buckets of pts cut at the ascending starts (from 0).
+
+    Bucket i is pts[starts[i] : starts[i + 1]], the last one running to
+    the end.  One pass: counts from the cuts, means and cum_err from one
+    reduceat each, with the deviations as the only n-length temporary.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    counts = np.diff(starts, append=len(pts))
+    means = np.add.reduceat(pts, starts) / counts
+    dev = np.repeat(means, counts)
+    np.subtract(pts, dev, out=dev)
+    errs = np.add.reduceat(np.abs(dev, out=dev), starts)
+    cols = (starts, starts + counts - 1, counts, means, errs)
+    buckets = list(map(Bucket, *(c.tolist() for c in cols)))
+    return WeightedSet(means.reshape(-1, 1), counts.astype(np.float64)), buckets
+
+
 def bucket_stats(P_sorted, l: int, r: int) -> Bucket:
-    """Summarise the inclusive index range [l, r] of a sorted array."""
+    """Summarise the inclusive index range [l, r] of a sorted array.
+
+    It runs the builders' summary pass, so it returns a build's bucket bit for bit.
+    """
     pts = np.asarray(P_sorted, dtype=np.float64).reshape(-1)
     l = operator.index(l)
     r = operator.index(r)
     if not 0 <= l <= r < len(pts):
         raise ValueError(f"bucket range [{l}, {r}] out of bounds for n={len(pts)}")
-    chunk = pts[l : r + 1]
-    mean = float(np.mean(chunk))
-    return Bucket(
-        l=l,
-        r=r,
-        count=r - l + 1,
-        mean=mean,
-        cum_err=float(np.sum(np.abs(chunk - mean))),
-    )
+    (one,) = _summarise(pts[l : r + 1], [0])[1]
+    return Bucket(l, r, one.count, one.mean, one.cum_err)
 
 
 def _level_edges(eps: float, scale: float, top_level: int) -> np.ndarray:
@@ -217,8 +235,8 @@ def _greedy_buckets(
     delta_cap: float | None,
     count_cap: int | None,
     product_cap: float | None,
-) -> list[Bucket]:
-    """Greedy left-to-right maximal feasible buckets covering pts[l..r].
+) -> list[int]:
+    """Starts of the greedy left-to-right maximal buckets covering pts[l..r].
 
     Feasibility (cum_err, count, count*length below their caps) is
     monotone when the right end grows, so each maximal bucket is found
@@ -245,11 +263,11 @@ def _greedy_buckets(
                 return False
         return True
 
-    out: list[Bucket] = []
+    out: list[int] = []
     a, last = 0, r - l
     while a <= last:
+        out.append(l + a)
         if ok(a, last):
-            out.append(bucket_stats(pts, l + a, r))
             break
         lo, hi = a, last  # ok(a, lo) holds, ok(a, hi) fails
         while hi - lo > 1:
@@ -258,29 +276,28 @@ def _greedy_buckets(
                 lo = mid
             else:
                 hi = mid
-        out.append(bucket_stats(pts, l + a, l + lo))
         a = lo + 1
     return out
 
 
-def split_block(block: Block, level: int | None, eps: float, n: int, r_max: float) -> list[Bucket]:
-    """Chop one block into greedy maximal buckets under the level caps.
+def split_block(block: Block, eps: float, n: int, r_max: float) -> list[int]:
+    """Chop one block into greedy maximal buckets under its level's caps.
 
     Inner blocks of level i obey cum_err <= 2^i * eps^2 * n * r_max /
     DEFAULT_DELTA_CONSTANT and count <= eps*n/16 (at least 1); far blocks
-    (level None) obey the count cap alone.  Bucket indices refer to
-    block.data.
+    (level None) obey the count cap alone.  Returns the bucket starts,
+    indices into block.data.
     """
     count_cap = max(1, int(math.floor(eps * n / 16.0)))
-    if level is None:
+    if block.far:
         delta_cap = None
     else:
-        delta_cap = (2.0**level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
+        delta_cap = (2.0**block.level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
     return _greedy_buckets(block.data, block.l, block.r, delta_cap, count_cap, None)
 
 
-def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[Bucket]:
-    """Buckets (global, inclusive) of the vanilla coreset on pts[lo:hi].
+def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]:
+    """Bucket starts (indices into pts) of the vanilla coreset on pts[lo:hi].
 
     Blocks double in distance from the slice median with scale r_bar =
     average absolute deviation; levels continue past the nominal top so
@@ -295,7 +312,7 @@ def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[Buck
     dist = np.abs(pts[lo:hi] - pts[med])
     r_bar = float(np.mean(dist))
     if r_bar == 0.0:
-        return [bucket_stats(pts, lo, hi - 1)]
+        return [lo]
     max_dist = float(dist.max())
     top = max(1, math.ceil(math.log2(max(max_dist, 2.0 * eps * r_bar) / (eps * r_bar))))
     labels = _classify_levels(dist, eps, r_bar, top)
@@ -303,7 +320,7 @@ def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[Buck
     # the median onward (increasing); runs are contiguous inside each.
     side = (np.arange(lo, hi) >= med).astype(np.int64)
     combined = side * (top + 2) + labels
-    out: list[Bucket] = []
+    out: list[int] = []
     for _, start, stop in _runs(combined):
         cap = (2.0 ** int(labels[start])) * eps * eps * n_sub * r_bar / DEFAULT_DELTA_CONSTANT
         out.extend(_greedy_buckets(pts, lo + start, lo + stop, cap, None, cap))
@@ -317,7 +334,7 @@ def build_vanilla_1d(P_sorted, eps: float) -> WeightedSet:
         raise ValueError("need at least one point")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return _buckets_to_weighted_set(_vanilla_buckets(pts, 0, len(pts), eps))
+    return _summarise(pts, _vanilla_buckets(pts, 0, len(pts), eps))[0]
 
 
 def _validated_sorted(P_sorted) -> np.ndarray:
@@ -329,38 +346,25 @@ def _validated_sorted(P_sorted) -> np.ndarray:
     return pts
 
 
-def _buckets_to_weighted_set(buckets: list[Bucket]) -> WeightedSet:
-    means = np.array([b.mean for b in buckets], dtype=np.float64).reshape(-1, 1)
-    counts = np.array([b.count for b in buckets], dtype=np.float64)
-    return WeightedSet(means, counts)
-
-
-def boundary_split(buckets: list[Bucket], P_sorted, m: int) -> list[Bucket]:
-    """Realign fringe buckets with the inlier windows of the two boundary centers.
+def boundary_split(starts, P_sorted, m: int) -> np.ndarray:
+    """Realign bucket starts with the inlier windows of the two boundary centers.
 
     The windows of centers p_(m+1) and p_(n-m) (1-based) are those of
     the farthest-out eviction of the robust split, right end first on
-    distance ties, found by bisection over the sorted points; any bucket
-    partially inside either window is split at the window edge.  At most
-    four buckets gain a twin.
+    distance ties, found by bisection over the sorted points.  Their
+    edges inside (0, n) join the starts, so any bucket partially inside
+    either window is split at the window edge and at most four buckets
+    gain a twin.  Returns the sorted union; m = 0 adds no cut.
     """
     pts = _validated_sorted(P_sorted)
     n = len(pts)
     m = operator.index(m)
-    if m == 0:
-        return list(buckets)
-    starts = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
-    cuts = {int(q) for q in (*starts, *(starts + n - m))}
-    out: list[Bucket] = []
-    for bucket in buckets:
-        inside = sorted(q for q in cuts if bucket.l < q <= bucket.r)
-        if not inside:
-            out.append(bucket)
-            continue
-        edges = [bucket.l, *inside, bucket.r + 1]
-        for a, b in zip(edges, edges[1:]):
-            out.append(bucket_stats(pts, a, b - 1))
-    return out
+    cuts = np.asarray(starts, dtype=np.intp)
+    if m > 0:
+        window = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
+        edges = np.concatenate((window, window + n - m))
+        cuts = np.concatenate((cuts, edges[(edges > 0) & (edges < n)]))
+    return np.unique(cuts)
 
 
 @dataclass(frozen=True)
@@ -391,7 +395,7 @@ def build_robust_1d_full(
     m = operator.index(m)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if m < 0 or m >= max(n, 1):
+    if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={n}")
     if n < 4 * m and not allow_small_n:
         raise AssumptionViolationError(
@@ -399,8 +403,7 @@ def build_robust_1d_full(
             "pass allow_small_n=True to build anyway without guarantees"
         )
     if m == 0:
-        buckets = _vanilla_buckets(pts, 0, n, eps / 3.0)
-        return Robust1dBuild(_buckets_to_weighted_set(buckets), buckets)
+        return Robust1dBuild(*_summarise(pts, _vanilla_buckets(pts, 0, n, eps / 3.0)))
     solve = robust_median_1d(pts, m)
     left, right = solve.inlier_window
     center = float(solve.centers.centers[0, 0])
@@ -408,20 +411,15 @@ def build_robust_1d_full(
     # Under the override the fringes may meet (n < 2m); shrink the right
     # fringe so the three zones stay a partition of the indices.
     right_base = max(n - m, m)
-    middle = _vanilla_buckets(pts, m, n - m, eps / 3.0)
+    starts = _vanilla_buckets(pts, m, n - m, eps / 3.0)
     part = partition_blocks(pts[:m], pts[right_base:], center - r_max, center + r_max, r_max, eps)
-    fringe: list[Bucket] = []
     for block in part.all_blocks():
         base = 0 if block.side in ("L", "LR") else right_base
-        # block.data is a view of pts, so each bucket's summary carries over.
-        fringe.extend(
-            replace(b, l=base + b.l, r=base + b.r)
-            for b in split_block(block, block.level, eps, n, r_max)
-        )
-    fringe = boundary_split(fringe, pts, m)
-    buckets = sorted(fringe + middle, key=lambda b: b.l)
+        starts.extend(base + s for s in split_block(block, eps, n, r_max))
+    # The window edges lie in [0, m] or [n - m, n]: they cut fringe buckets only.
+    coreset, buckets = _summarise(pts, boundary_split(starts, pts, m))
     return Robust1dBuild(
-        coreset=_buckets_to_weighted_set(buckets),
+        coreset=coreset,
         buckets=buckets,
         partition=part,
         center=center,

@@ -212,3 +212,9 @@ def tie_heavy_line(seed) -> tuple[np.ndarray, np.ndarray]:
     off = np.array([xs[0] - 2.5 * scale, xs[0] - 0.5 * scale,
                     xs[-1] + 0.5 * scale, xs[-1] + 7.0 * scale])
     return xs, np.concatenate([xs, midpoints, off])
+
+
+def oracle_bucket_summary(xs, l: int, r: int) -> tuple[int, float]:
+    """Count and mean of xs[l..r] (inclusive), the sum rounded once by math.fsum."""
+    chunk = [float(x) for x in xs[l : r + 1]]
+    return len(chunk), math.fsum(chunk) / len(chunk)

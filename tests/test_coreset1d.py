@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcoreset import coreset1d
@@ -33,6 +33,8 @@ from rcoreset.coreset1d import (
 from rcoreset.instances import gen_gaussian_clusters
 from rcoreset.solver import robust_median_1d
 
+from oracles import oracle_bucket_summary
+
 
 def gaussian_with_outliers(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Sorted 1-d sample: n - m standard normals plus m far-flung points."""
@@ -50,6 +52,12 @@ def misalignment(build, pts: np.ndarray, center: float, m: int) -> float:
         per_bucket[np.searchsorted(his, i)] += 1.0
     kept = inlier_assignment(build.coreset, CenterSet([[center]], z=1), m).kept_weight
     return float(np.sum(np.abs(per_bucket - (build.coreset.weights - kept))))
+
+
+def spans(starts, stop: int) -> list[tuple[int, int]]:
+    """Inclusive (l, r) ranges of the buckets cut at starts, the last ending at stop."""
+    starts = [int(a) for a in starts]
+    return list(zip(starts, [b - 1 for b in starts[1:]] + [stop]))
 
 
 @st.composite
@@ -211,63 +219,59 @@ class TestPartitionBlocks:
 
 class TestSplitBlock:
     def test_identical_points_one_bucket(self) -> None:
-        data = np.full(2, 3.0)
-        block = Block(data, 0, 1, "LR", 0)
-        buckets = split_block(block, 0, 0.5, 64, 1.0)
-        assert [(b.l, b.r) for b in buckets] == [(0, 1)]
+        block = Block(np.full(2, 3.0), 0, 1, "LR", 0)
+        assert spans(split_block(block, 0.5, 64, 1.0), 1) == [(0, 1)]
 
     def test_identical_points_count_cap_forces_two(self) -> None:
-        data = np.full(4, 3.0)  # eps*n/8 points with cap eps*n/16 = 2
-        block = Block(data, 0, 3, "LR", 0)
-        buckets = split_block(block, 0, 0.5, 64, 1.0)
-        assert [(b.l, b.r) for b in buckets] == [(0, 1), (2, 3)]
+        block = Block(np.full(4, 3.0), 0, 3, "LR", 0)  # eps*n/8 points with cap eps*n/16 = 2
+        assert spans(split_block(block, 0.5, 64, 1.0), 3) == [(0, 1), (2, 3)]
 
     def test_doubling_gaps_greedy_maximal(self) -> None:
         data = np.cumsum(2.0 ** np.arange(12))
         n, eps, r_max, level = 2304, 0.5, 1.0, 0
         block = Block(data, 0, len(data) - 1, "LR", level)
-        buckets = split_block(block, level, eps, n, r_max)
-        assert len(buckets) > 1
+        ranges = spans(split_block(block, eps, n, r_max), len(data) - 1)
+        assert len(ranges) > 1
         delta_cap = (2.0**level) * eps * eps * n * r_max / 288.0
         count_cap = math.floor(eps * n / 16.0)
-        for b in buckets:
+        for l, r in ranges:
+            b = bucket_stats(data, l, r)
             assert b.cum_err <= delta_cap + 1e-12 and b.count <= count_cap
-        for b in buckets[:-1]:
-            grown = bucket_stats(data, b.l, b.r + 1)
+        for l, r in ranges[:-1]:
+            grown = bucket_stats(data, l, r + 1)
             assert grown.cum_err > delta_cap or grown.count > count_cap, (
-                f"bucket ({b.l},{b.r}) is not maximal"
+                f"bucket ({l},{r}) is not maximal"
             )
 
     def test_far_block_ignores_spread(self) -> None:
-        data = np.array([0.0, 100.0, 10_000.0])
-        block = Block(data, 0, 2, "L", None)
-        buckets = split_block(block, None, 0.5, 2304, 1.0)
-        assert [(b.l, b.r) for b in buckets] == [(0, 2)]
+        block = Block(np.array([0.0, 100.0, 10_000.0]), 0, 2, "L", None)
+        assert spans(split_block(block, 0.5, 2304, 1.0), 2) == [(0, 2)]
 
     def test_singleton_cap_when_eps_n_small(self) -> None:
-        data = np.full(3, 1.0)
-        block = Block(data, 0, 2, "R", 0)
-        buckets = split_block(block, 0, 0.1, 20, 1.0)  # eps*n/16 < 1
-        assert [(b.l, b.r) for b in buckets] == [(0, 0), (1, 1), (2, 2)]
+        block = Block(np.full(3, 1.0), 0, 2, "R", 0)
+        starts = split_block(block, 0.1, 20, 1.0)  # eps*n/16 < 1
+        assert spans(starts, 2) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_starts_index_block_data(self) -> None:
+        block = Block(np.arange(8.0), 3, 6, "R", None)  # count cap eps*n/16 = 2
+        assert split_block(block, 0.5, 64, 1.0) == [3, 5]
 
 
 class TestBoundarySplit:
     def test_straddling_buckets_split_at_window_edges(self) -> None:
         pts = np.arange(10, dtype=np.float64)
-        buckets = [bucket_stats(pts, 0, 4), bucket_stats(pts, 5, 9)]
-        out = boundary_split(buckets, pts, 2)
-        assert [(b.l, b.r) for b in out] == [(0, 1), (2, 4), (5, 7), (8, 9)]
+        out = boundary_split([0, 5], pts, 2)
+        assert spans(out, 9) == [(0, 1), (2, 4), (5, 7), (8, 9)]
 
     def test_aligned_buckets_untouched(self) -> None:
         pts = np.arange(10, dtype=np.float64)
-        buckets = [bucket_stats(pts, 0, 1), bucket_stats(pts, 2, 9)]
-        out = boundary_split(buckets, pts, 2)
-        assert [(b.l, b.r) for b in out] == [(0, 1), (2, 7), (8, 9)]
+        out = boundary_split([0, 2], pts, 2)
+        assert spans(out, 9) == [(0, 1), (2, 7), (8, 9)]
 
     def test_zero_outliers_is_identity(self) -> None:
         pts = np.arange(6, dtype=np.float64)
-        buckets = [bucket_stats(pts, 0, 5)]
-        assert boundary_split(buckets, pts, 0) == buckets
+        assert boundary_split([0], pts, 0).tolist() == [0]
+        assert boundary_split([0, 3, 4], pts, 0).tolist() == [0, 3, 4]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
@@ -277,14 +281,12 @@ class TestBoundarySplit:
         m = int(rng.integers(1, n // 4 + 1))
         pts = np.sort(rng.normal(0.0, 5.0, n))
         cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(0, 6), replace=False))
-        edges = [0, *cuts.tolist(), n]
-        buckets = [bucket_stats(pts, a, b - 1) for a, b in zip(edges, edges[1:])]
-        out = boundary_split(buckets, pts, m)
-        assert len(out) <= len(buckets) + 4
-        spans = sorted((b.l, b.r) for b in out)
-        assert spans[0][0] == 0 and spans[-1][1] == n - 1
-        for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
-            assert l2 == r1 + 1, "output ranges must stay a partition"
+        starts = [0, *cuts.tolist()]
+        out = boundary_split(starts, pts, m).tolist()
+        assert len(out) <= len(starts) + 4
+        assert set(starts) <= set(out), "every bucket start stays a start"
+        assert out[0] == 0 and out[-1] < n
+        assert all(a < b for a, b in zip(out, out[1:])), "output must stay a partition"
 
 
 class TestBuildRobust1d:
@@ -390,6 +392,46 @@ class TestBuildRobust1d:
             build_robust_1d(pts, 20, 0.2)
         with pytest.raises(ValueError, match="m"):
             build_robust_1d(pts, -1, 0.2)
+
+    def test_empty_input_rejected(self) -> None:
+        for build in (build_robust_1d, build_robust_1d_full):
+            with pytest.raises(ValueError, match=r"m < \|P\|"):
+                build(np.array([]), 0, 0.2)
+
+
+@st.composite
+def lines_with_ties_and_tails(draw):
+    """Sorted points mixing spread values, integer ties, constant runs and far tails."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [rng.normal(0.0, 3.0, draw(st.integers(0, 80)))]
+    parts.append(rng.integers(-4, 5, draw(st.integers(0, 80))).astype(np.float64))
+    parts.append(np.full(draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 2.5, -7.0]))))
+    tail = draw(st.integers(0, 20))
+    parts.append(rng.uniform(1e3, 1e8, tail) * rng.choice([-1.0, 1.0], tail))
+    pts = np.sort(np.concatenate(parts))
+    assume(len(pts) >= 1)
+    return pts
+
+
+class TestSummaryPass:
+    @given(lines_with_ties_and_tails(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_buckets_match_fsum_oracle(self, pts, data) -> None:
+        n = len(pts)
+        m = data.draw(st.integers(0, n // 4), label="m")
+        eps = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.5]), label="eps")
+        build = build_robust_1d_full(pts, m, eps)
+        counts = [b.count for b in build.buckets]
+        assert build.coreset.weights.tolist() == counts
+        assert sum(counts) == n
+        for b in build.buckets:
+            count, mean = oracle_bucket_summary(pts, b.l, b.r)
+            assert count == b.count
+            # Summed in any order, the mean of count values is off by less than
+            # count * 2^-52 times their largest magnitude.
+            bound = count * 2.0**-52 * float(np.max(np.abs(pts[b.l : b.r + 1])))
+            assert abs(b.mean - mean) <= bound, f"bucket ({b.l},{b.r}): {b.mean!r} vs {mean!r}"
+            assert bucket_stats(pts, b.l, b.r) == b
 
 
 class TestFullBuildRecord:
