@@ -322,8 +322,8 @@ def _prepare_center_batch(centers, dim: int) -> np.ndarray:
 
 
 # Floats in one (sets, points) output chunk of the batch evaluators, and
-# in one (centers, points) product block, which stays in cache from the
-# product to the square root.
+# in the one (centers, points) block buffer each call reuses, which stays
+# in cache from the product to the write into the output chunk.
 _CHUNK_FLOATS = 1.6e7
 _BLOCK_FLOATS = 2**17
 
@@ -331,11 +331,11 @@ _BLOCK_FLOATS = 2**17
 def _min_dist_pow_batch(points: np.ndarray, batch: np.ndarray, z: int) -> np.ndarray:
     """(T, n) matrix of min_j dist(p, c_tj)^z for a (T, k, d) center batch.
 
-    Exact differences on the line.  Otherwise, per block of points, one
-    product gives |c|^2 - 2 c.p, the minimum over each set's k centers
-    is taken, and only then are |p|^2 added and the square root taken.
-    Entries at the expansion's roundoff level, negative ones included,
-    are recomputed from explicit differences: a point on a center gets 0.
+    Exact differences on the line.  Otherwise one product of [-2c, |c|^2, 1]
+    and [p, 1, |p|^2] puts a block's squared distances in one reused, flat
+    (T k, B) buffer, whose first T rows take each set's minimum and are then
+    written out, rooted for z = 1.  Entries <= 2^-20 (|p|^2 + |c|^2) are
+    redone from explicit differences: a point on a center gets exactly 0.
     """
     T, k, d = batch.shape
     out = np.empty((T, len(points)))
@@ -346,26 +346,26 @@ def _min_dist_pow_batch(points: np.ndarray, batch: np.ndarray, z: int) -> np.nda
         return out if z == 1 else np.square(out, out=out)
     flat = batch.transpose(1, 0, 2).reshape(-1, d)  # row j*T + t is c_tj
     c2 = np.einsum("ij,ij->i", flat, flat)
-    lhs = np.column_stack([-2.0 * flat, c2])
-    rhs = np.column_stack([points, np.ones(len(points))])
     p2 = np.einsum("ij,ij->i", points, points)
+    lhs = np.column_stack([-2.0 * flat, c2, np.ones(T * k)])
+    rhs = np.column_stack([points, np.ones(len(points)), p2])
     width = max(1, _BLOCK_FLOATS // (T * k))
+    buf = np.empty(T * k * min(width, len(points)))
     for lo in range(0, len(points), width):
         blk = slice(lo, lo + width)
-        prod = (lhs @ rhs[blk].T).reshape(k, T, -1)
-        o = out[:, blk]
-        np.minimum(prod[0], prod[-1], out=o)
-        for j in range(1, k - 1):
-            np.minimum(o, prod[j], out=o)
-        o += p2[blk]
+        sq = buf[: T * k * len(p2[blk])].reshape(T * k, -1)  # contiguous, the last block too
+        np.matmul(lhs, rhs[blk].T, out=sq)
+        o = sq[:T]
+        for j in range(1, k):
+            np.minimum(o, sq[j * T : (j + 1) * T], out=o)
         # The expansion errs by far less than 2^-20 (|p|^2 + |c|^2).
-        tiny = o <= 2.0**-20 * (p2[blk].max() + c2.max())
-        if tiny.any():
-            t, i = np.nonzero(tiny)
+        bound = 2.0**-20 * (p2[blk].max() + c2.max())
+        if o.min() <= bound:
+            idx = np.flatnonzero(o <= bound)
+            t, i = np.divmod(idx, sq.shape[1])
             diff = points[lo + i][:, None, :] - batch[t]
-            o[t, i] = np.einsum("hjd,hjd->hj", diff, diff).min(axis=1)
-        if z == 1:
-            np.sqrt(o, out=o)
+            o.flat[idx] = np.einsum("hjd,hjd->hj", diff, diff).min(axis=1)
+        (np.sqrt if z == 1 else np.positive)(o, out=out[:, blk])
     return out
 
 
@@ -473,10 +473,10 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     So there each center sums the exact differences over its own
     slice, in O(T (n - m)) more time.
 
-    Other shapes take each set's minimum over its centers block by block
-    of points, before |p|^2 and the square root, in chunks of sets whose
-    (sets, n) output stays under 1.6e7 floats, besides O(n d) for
-    shifted copies of the points.
+    Other shapes take each set's minimum over its centers in one reused
+    block buffer, from one product with |p|^2 folded in, in chunks of
+    sets whose (sets, n) output stays under 1.6e7 floats, besides
+    O(n d) for shifted copies of the points.
     """
     points = as_points(P)
     n = len(points)

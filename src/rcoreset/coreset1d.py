@@ -258,7 +258,7 @@ def _greedy_buckets(
             return False
         if delta_cap is not None:
             mu = (F[b + 1] - F[a]) / cnt
-            j = min(max(int(np.searchsorted(y, mu, side="right")), a), b + 1)
+            j = min(max(int(y.searchsorted(mu, side="right")), a), b + 1)
             if _abs_dev_sum(F, a, b + 1, mu, j) > delta_cap:
                 return False
         return True

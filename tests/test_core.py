@@ -622,6 +622,45 @@ class TestMinDistPowBatch:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"z={z}")
 
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_points_on_centers_score_exactly_zero_in_every_block(self, k, z):
+        # Centers sit on data points at slot 0, a middle slot and slot
+        # k - 1, in the first block, a full middle block and the partial
+        # last block; one set repeats a center.  A point on a center of
+        # its set scores exactly 0, wherever the set's minimum is taken.
+        rng = np.random.default_rng(20 + k)
+        T, d = 6, 4
+        width = _BLOCK_FLOATS // (T * k)
+        n = 2 * width + 17  # two full blocks and a partial one
+        points = rng.normal(size=(n, d)) * 3.0
+        batch = rng.normal(size=(T, k, d))
+        firsts = (0, width, 2 * width)  # the first row of each block
+        for t, (j, b) in enumerate([(0, 0), (k // 2, 1), (k - 1, 2), (k - 1, 0), (0, 2)]):
+            batch[t, j] = points[firsts[b] + int(rng.integers(0, 17))]
+        batch[5] = points[width + 3]  # every slot of the last set on one point
+        on = (points[None, None] == batch[:, :, None]).all(axis=-1).any(axis=1)
+        assert on.sum() >= T
+        got = _min_dist_pow_batch(points, batch, z)
+        want = np.array([_nearest_dist_pow(points, c, z)[1] for c in batch])
+        assert np.array_equal(got == 0, on), f"zeros at {np.argwhere((got == 0) != on)}"
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_more_centers_than_a_block_holds(self, z):
+        # T k > _BLOCK_FLOATS: every block is one point wide.
+        rng = np.random.default_rng(21)
+        k, n, d = 3, 5, 3
+        T = _BLOCK_FLOATS // k + 1
+        points = rng.normal(size=(n, d))
+        batch = rng.normal(size=(T, k, d))
+        batch[np.arange(T), np.arange(T) % k] = points[np.arange(T) % n]
+        got = _min_dist_pow_batch(points, batch, z)
+        diff = points[None, None] - batch[:, :, None]
+        d2 = np.einsum("tjid,tjid->tji", diff, diff).min(axis=1)
+        assert np.array_equal(got == 0, d2 == 0) and np.count_nonzero(d2 == 0) == T
+        np.testing.assert_allclose(got, np.sqrt(d2) if z == 1 else d2, rtol=1e-9, atol=0)
+
 
 class TestLineWindows:
     @given(st.integers(0, 2**32 - 1))
