@@ -9,8 +9,11 @@ units of weight, splitting at most one point fractionally at the
 inlier/outlier boundary.
 
 Every robust cost and inlier assignment drops farthest-first, ties at
-equal distance dropping the larger dataset index first.  The weighted
-fill's running sums are over the dropped weight only, so its rounding
+equal distance dropping the larger dataset index first.  That order has
+one home, ``_farthest`` (the last r entries of the stable argsort, found
+by one selection), and so does the count of rows that can hold the m
+units, ``_drop_bound``.  The weighted fill sorts only those rows, and
+its running sums are over the dropped weight only, so its rounding
 is at the scale of m, not of w(S).  A point wholly inside the m units
 keeps exactly 0 only when those running sums are exact; otherwise the
 point at the boundary may keep a residue of a few ulps of m.  The batch
@@ -186,8 +189,6 @@ def _nearest_dist_pow(
 
 
 def _as_outlier_count(m, limit: float, what: str):
-    if isinstance(m, (bool, np.bool_)):
-        raise ValueError(f"m must be a number, got {m!r}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > limit:
@@ -239,19 +240,53 @@ def _fill_sorted(w_sorted: np.ndarray, budget: float) -> np.ndarray:
     return np.clip(budget - ahead, 0.0, w_sorted)
 
 
+def _farthest(dpow: np.ndarray, r: int) -> np.ndarray:
+    """Mask of the last r entries of the stable argsort of dpow, in O(n).
+
+    One selection finds the cut value at position n - r of the sorted
+    dpow.  Every entry above it is marked, then the entries equal to it
+    with the largest indices: among ties the larger index is farther.
+    Needs 0 <= r <= n.
+    """
+    n = len(dpow)
+    if r == 0:
+        return np.zeros(n, dtype=bool)
+    cut = np.partition(dpow, n - r)[n - r]
+    far = dpow > cut
+    at_cut = np.flatnonzero(dpow == cut)
+    short = r - np.count_nonzero(far)
+    far[at_cut[len(at_cut) - short :]] = True
+    return far
+
+
+def _drop_bound(w: np.ndarray, m: float) -> int:
+    """A count r of rows such that any r rows of w hold m units, capped at n.
+
+    r is the smallest count whose r smallest weights sum to at least m,
+    plus one row of slack: that row weighs at least the mean of those
+    before it, which covers the cumsum's relative rounding j 2^-53 for
+    any j < 6e7 rows.  So m units dropped farthest-first lie among the
+    r farthest rows, and every other row keeps its weight whole.
+    """
+    return min(len(w), int(np.searchsorted(np.cumsum(np.sort(w)), m)) + 2)
+
+
 def _drop_farthest(dpow: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
     """Kept weight per row once m units are dropped farthest-first.
 
-    The reversed stable order drops ties to the larger index first, and
-    _fill_sorted gives up m units along it, so rows past the m units
-    drop 0 and keep their weight.  m = w(S) keeps nothing.
+    Only the r = _drop_bound(w, m) farthest rows, marked by _farthest,
+    can give up weight.  They alone are stable-sorted, and _fill_sorted
+    gives up m units along their reversed order, so ties drop the larger
+    index first.  Every other row keeps its weight untouched, and m = w(S)
+    keeps nothing.  O(n + r log r) past the sort of w.
     """
     if m == float(np.sum(w)):
         return np.zeros_like(w)
-    order = np.argsort(dpow, kind="stable")[::-1]
-    dropped = np.empty(len(w))
-    dropped[order] = _fill_sorted(w[order], m)
-    return w - dropped
+    rows = np.flatnonzero(_farthest(dpow, _drop_bound(w, m)))
+    order = rows[np.argsort(dpow[rows], kind="stable")[::-1]]
+    kept = w.copy()
+    kept[order] -= _fill_sorted(w[order], m)
+    return kept
 
 
 def _weighted_fill(
@@ -259,7 +294,7 @@ def _weighted_fill(
 ) -> tuple[float, np.ndarray, int | None]:
     """Drop m units of weight farthest-first; return (cost, w', partial)."""
     _check_dims(S.points, C)
-    m = float(_as_outlier_count(float(m), S.total_weight, "w(S)"))
+    m = _as_outlier_count(float(m), S.total_weight, "w(S)")
     dpow = _nearest_dist_pow(S.points, C.centers, C.z)[1]
     kept = _drop_farthest(dpow, S.weights, m)
     inliers = kept > 0
@@ -289,22 +324,12 @@ def _split_far(
     """Mask of outlier_split's m outliers, nearest center and dist^z per point.
 
     ``points`` is an (n, d) float64 array and 0 <= m <= n.  The mask is
-    the last m entries of the stable argsort of dpow, found in O(n) by
-    one selection: every point above the cut value (the one at position
-    n - m of the sorted dist^z) is far, and the rest of the m are the
-    points equal to the cut with the largest dataset indices.
+    _farthest(dpow, m): the m points of largest dist^z, ties at the cut
+    going to the larger dataset index, found in O(n).
     """
     _check_dims(points, C)
     nearest, dpow = _nearest_dist_pow(points, C.centers, C.z)
-    n = len(points)
-    if m == 0:
-        return np.zeros(n, dtype=bool), nearest, dpow
-    cut = np.partition(dpow, n - m)[n - m]
-    far = dpow > cut
-    at_cut = np.flatnonzero(dpow == cut)
-    short = m - np.count_nonzero(far)
-    far[at_cut[len(at_cut) - short :]] = True
-    return far, nearest, dpow
+    return _farthest(dpow, m), nearest, dpow
 
 
 def _prepare_center_batch(centers, dim: int) -> np.ndarray:
@@ -316,6 +341,8 @@ def _prepare_center_batch(centers, dim: int) -> np.ndarray:
         arr = arr[:, None, :]
     if arr.ndim != 3 or arr.shape[2] != dim:
         raise ValueError(f"center batch must have shape (T, k, {dim})")
+    if arr.shape[1] < 1:
+        raise ValueError("a center set needs at least one center")
     if not np.all(np.isfinite(arr)):
         raise ValueError("centers contain non-finite coordinates")
     return arr
@@ -507,29 +534,24 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
 def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.ndarray:
     """robust_cost_weighted of S at many center sets; centers (T, k, d).
 
-    Only the m dropped units of weight need an order.  Once per call, r
-    is the smallest count whose r smallest weights sum to at least m,
-    plus one row of slack: that row weighs at least the mean of those
-    before it, which covers the cumsum's relative rounding j 2^-53 for
-    any j < 6e7 rows.  Any r rows then hold m units, so at each set the
-    m dropped units lie among its r farthest rows and every other row is
-    kept whole.  Per set, one selection splits off those r rows, the
-    rest is summed as w d, and only the r rows are sorted and give up m
-    units farthest-first, so the fill's rounding is at the scale of m,
-    not of w(S).  That is O(T |S| + T r log r) time past the distances,
-    and in memory the distance chunk of at most 1.6e7 floats plus its
-    selection indices.  Tied rows may be taken in any order, as that
-    does not change the cost.  m = 0 keeps every weight whole, and
-    m = w(S) costs exactly 0.
+    Only the m dropped units of weight need an order, and they lie among
+    each set's r = _drop_bound(w, m) farthest rows.  Per set, one 2-d
+    argpartition splits off those r rows (ties in any order, which does
+    not change the cost), the rest is summed as w d, and only the r rows
+    are sorted and give up m units farthest-first, so the fill's
+    rounding is at the scale of m, not of w(S).  That is
+    O(T |S| + T r log r) time past the distances, and in memory the
+    distance chunk of at most 1.6e7 floats plus its selection indices.
+    m = 0 keeps every weight whole, and m = w(S) costs exactly 0.
     """
     total = S.total_weight
-    m = float(_as_outlier_count(float(m), total, "w(S)"))
+    m = _as_outlier_count(float(m), total, "w(S)")
     batch = _prepare_center_batch(centers, S.dim)
     costs = np.zeros(len(batch))
     n, w = len(S), S.weights
     if n == 0 or m == total:
         return costs
-    r = min(n, int(np.searchsorted(np.cumsum(np.sort(w)), m)) + 2)
+    r = _drop_bound(w, m)
     for lo, hi, dmin in _min_dist_pow_chunks(S.points, batch, z):
         if m == 0.0:
             costs[lo:hi] = dmin @ w

@@ -23,6 +23,8 @@ from rcoreset import (
 from rcoreset.core import (
     _BLOCK_FLOATS,
     _abs_dev_sum,
+    _drop_farthest,
+    _fill_sorted,
     _line_window_starts,
     _min_dist_pow_batch,
     _nearest_dist_pow,
@@ -266,6 +268,66 @@ class TestSplitFar:
             assert np.flatnonzero(far).tolist() == list(range(7 - m, 7))
 
 
+class TestDropFarthest:
+    """_drop_farthest against its definition: m units given up along the
+    reversed stable argsort of dist^z, every row of it filled in turn."""
+
+    @staticmethod
+    def definition(dpow: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
+        if m == float(np.sum(w)):
+            return np.zeros_like(w)
+        order = np.argsort(dpow, kind="stable")[::-1]
+        dropped = np.empty(len(w))
+        dropped[order] = _fill_sorted(w[order], m)
+        return w - dropped
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=0, max_value=40),
+        weights=st.sampled_from(["unit", "quarter", "mixed"]),
+        m_pick=st.sampled_from(["0", "all", "boundary", "fractional"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition_bitwise_on_ties(self, seed, n, weights, m_pick):
+        # Integer distances 0-4, so most rows tie with others, the rows
+        # at the bound included.
+        rng = np.random.default_rng(seed)
+        dpow = rng.integers(0, 5, size=n).astype(float)
+        w = {
+            "unit": np.ones(n),
+            "quarter": rng.choice([0.25, 0.5, 0.75], size=n),
+            "mixed": 10.0 ** rng.integers(-6, 7, size=n) * rng.uniform(0.5, 2.0, n),
+        }[weights]
+        total = float(np.sum(w))
+        if m_pick == "0" or n == 0:
+            m = 0.0
+        elif m_pick == "all":
+            m = total
+        elif m_pick == "boundary":
+            far_first = np.argsort(dpow, kind="stable")[::-1]
+            m = min(float(w[far_first[: int(rng.integers(0, n + 1))]].sum()), total)
+        else:
+            m = float(rng.uniform(0.0, total))
+        got = _drop_farthest(dpow, w, m)
+        want = self.definition(dpow, w, m)
+        assert np.array_equal(got, want), f"m={m}: {got} vs {want}"
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=3),
+        z=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unit_weights_keep_the_complement_of_split_far(self, seed, n, d, z):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+        C = CenterSet(rng.integers(-2, 3, size=(2, d)).astype(float), z=z)
+        m = int(rng.integers(0, n + 1))
+        far, _, dpow = _split_far(points, C, m)
+        np.testing.assert_array_equal(_drop_farthest(dpow, np.ones(n), float(m)) > 0, ~far)
+
+
 class TestInlierAssignment:
     def test_partial_point_at_boundary(self):
         S = WeightedSet([0.0, 5.0], [2.0, 2.0])
@@ -480,6 +542,17 @@ class TestBatchEvaluators:
         got = robust_cost_weighted_many(S, batch, z, 0)
         assert np.array_equal(got, np.zeros(4))
         assert robust_cost_weighted(S, CenterSet(batch[0], z=z), 0) == 0.0
+
+    @pytest.mark.parametrize("evaluator", ["unweighted", "weighted"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_empty_center_sets_rejected(self, d, evaluator):
+        points = np.random.default_rng(3).normal(size=(5, d))
+        batch = np.zeros((2, 0, d))
+        with pytest.raises(ValueError, match="at least one center"):
+            if evaluator == "unweighted":
+                robust_cost_many(points, batch, 1, 1)
+            else:
+                robust_cost_weighted_many(WeightedSet(points, np.ones(5)), batch, 1, 1.0)
 
     @given(tie_heavy_weighted_batches())
     @settings(max_examples=150, deadline=None)
