@@ -194,11 +194,12 @@ def _lex_rows(points: np.ndarray) -> np.ndarray:
 
 
 def sample_outlier_coreset(L_star, size: int, seed) -> WeightedSet:
-    """Uniform sample without replacement of the far part, reweighted to it.
+    """Uniform sample without replacement of a point set, reweighted to it.
 
-    Keeps min(size, |L_star|) points, each at weight |L_star|/sample
-    size, so the total weight equals |L_star| (up to roundoff when the
-    weight is not representable).
+    Keeps min(size, |L_star|) points in their input order, each at weight
+    |L_star|/sample size, so the total weight equals |L_star| (up to
+    roundoff when the weight is not representable).  The builders draw
+    the far part with it, and baselines.build_uniform the whole dataset.
     """
     points = as_points(L_star)
     m = len(points)

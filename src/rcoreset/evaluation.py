@@ -28,6 +28,7 @@ from rcoreset.baselines import build_hjlw23, build_hllw25, build_uniform
 from rcoreset.core import (
     CenterSet,
     WeightedSet,
+    _min_dist_pow_chunks,
     as_points,
     inlier_assignment,
     outlier_split,
@@ -301,7 +302,10 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
 
     Ball centers are uniform over the data's bounding box, radii
     uniform in (0, diagonal]; returns the maximum over balls of
-    | |P_O ∩ B| / |P_O|  −  w(S_O ∩ B) / w(S_O) |.
+    | |P_O ∩ B| / |P_O|  −  w(S_O ∩ B) / w(S_O) |.  Point-to-ball
+    distances come from the batch kernel with one ball per center set,
+    once for P_O and once for S_O, so memory peaks at the kernel's
+    (balls, points) output chunk.
     """
     pts = as_points(P_O)
     if num_balls < 1:
@@ -310,21 +314,15 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
     hi = pts.max(axis=0)
     diameter = float(np.linalg.norm(hi - lo))
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(lo, hi, (num_balls, pts.shape[1]))
+    balls = rng.uniform(lo, hi, (num_balls, pts.shape[1]))[:, None, :]
     radii = (1.0 - rng.random(num_balls)) * max(diameter, 1e-300)
-    total_w = S_O.total_weight
-    worst = 0.0
-    # Each chunk makes (rows, step, d) temporaries for both point sets.
-    step = max(1, int(1.6e7 / max((len(pts) + len(S_O)) * pts.shape[1], 1)))
-    for start in range(0, num_balls, step):
-        c = centers[start : start + step]
-        r = radii[start : start + step]
-        d_p = np.linalg.norm(pts[:, None, :] - c[None, :, :], axis=2)
-        frac_p = np.mean(d_p <= r[None, :], axis=0)
-        d_s = np.linalg.norm(S_O.points[:, None, :] - c[None, :, :], axis=2)
-        frac_s = (S_O.weights @ (d_s <= r[None, :])) / total_w
-        worst = max(worst, float(np.max(np.abs(frac_p - frac_s))))
-    return worst
+    frac_p = np.empty(num_balls)
+    for a, b, dist in _min_dist_pow_chunks(pts, balls, 1):
+        frac_p[a:b] = np.mean(dist <= radii[a:b, None], axis=1)
+    frac_s = np.empty(num_balls)
+    for a, b, dist in _min_dist_pow_chunks(S_O.points, balls, 1):
+        frac_s[a:b] = (dist <= radii[a:b, None]) @ S_O.weights
+    return float(np.max(np.abs(frac_p - frac_s / S_O.total_weight)))
 
 
 def ball_range_deviation_1d(P_O, S_O: WeightedSet) -> float:

@@ -112,26 +112,23 @@ def kmeanspp_seed(P, k: int, z: int, seed, weights=None) -> CenterSet:
     return CenterSet(points[np.array(chosen, dtype=int)], z=z)
 
 
-def _weighted_column_median(values: np.ndarray, w: np.ndarray) -> float:
-    """Smallest value whose cumulative weight reaches half the total."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(w[order])
-    half = 0.5 * cum[-1]
-    return float(values[order[np.searchsorted(cum, half, side="left")]])
-
-
 def _coordinate_median(cluster: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Coordinate-wise weighted median of the rows of cluster.
 
-    With unit weights the weighted median is the order statistic at
-    index ceil(N/2) - 1, which selection finds without a full sort.
+    Per column, the smallest value whose cumulative weight reaches half
+    the total, taken for all columns from one stable argsort and one
+    cumulative sum along the rows.  With unit weights that is the order
+    statistic at index ceil(N/2) - 1, which selection finds without a
+    full sort.
     """
     if np.all(w == 1.0):
         h = (len(w) - 1) // 2
         return np.partition(cluster, h, axis=0)[h]
-    return np.array(
-        [_weighted_column_median(cluster[:, t], w) for t in range(cluster.shape[1])]
-    )
+    order = np.argsort(cluster, axis=0, kind="stable")
+    cum = np.cumsum(w[order], axis=0)
+    first = np.argmax(cum >= 0.5 * cum[-1], axis=0)
+    cols = np.arange(cluster.shape[1])
+    return cluster[order[first, cols], cols]
 
 
 def lloyd_with_outliers(

@@ -218,3 +218,28 @@ def oracle_bucket_summary(xs, l: int, r: int) -> tuple[int, float]:
     """Count and mean of xs[l..r] (inclusive), the sum rounded once by math.fsum."""
     chunk = [float(x) for x in xs[l : r + 1]]
     return len(chunk), math.fsum(chunk) / len(chunk)
+
+
+def oracle_ball_range(P_O, S_O, num_balls: int, seed) -> float:
+    """ball_range_check by enumeration over the same balls.
+
+    The balls are drawn exactly as the library draws them; every
+    point-in-ball decision uses math.dist and every mass is summed by
+    math.fsum.
+    """
+    pts = np.asarray(P_O, dtype=float)
+    pts = pts.reshape(len(pts), -1)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    diameter = float(np.linalg.norm(hi - lo))
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(lo, hi, (num_balls, pts.shape[1])).tolist()
+    radii = ((1.0 - rng.random(num_balls)) * max(diameter, 1e-300)).tolist()
+    rows, srows = pts.tolist(), np.asarray(S_O.points, dtype=float).tolist()
+    weights = [float(w) for w in S_O.weights]
+    total = math.fsum(weights)
+    worst = 0.0
+    for c, r in zip(centers, radii):
+        frac_p = math.fsum(1.0 for p in rows if math.dist(p, c) <= r) / len(rows)
+        inside = [w for q, w in zip(srows, weights) if math.dist(q, c) <= r]
+        worst = max(worst, abs(frac_p - math.fsum(inside) / total))
+    return worst

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -16,7 +17,12 @@ from rcoreset.core import (
     robust_cost_many,
     robust_cost_weighted_many,
 )
-from rcoreset.coreset_nd import NdCoresetConfig, build_robust_kz, split_sample_sizes
+from rcoreset.coreset_nd import (
+    NdCoresetConfig,
+    build_robust_kz,
+    sample_outlier_coreset,
+    split_sample_sizes,
+)
 from rcoreset.instances import gen_gaussian_clusters
 from rcoreset.solver import kmeanspp_seed, lloyd_with_outliers
 
@@ -168,6 +174,15 @@ class TestBuildUniform:
             build_uniform(P, 0, seed=11)
         with pytest.raises(ValueError, match="target_size"):
             build_uniform(P, 51, seed=11)
+
+    @pytest.mark.parametrize("size", [1, 37, 200])
+    def test_is_the_uniform_outlier_sampler(self, size: int) -> None:
+        P, _ = small_instance(seed=13, n=200, m=20)
+        for seed in (0, (13, 2), np.random.default_rng(5)):
+            S = build_uniform(P, size, seed=copy.deepcopy(seed))
+            T = sample_outlier_coreset(P, size, seed=copy.deepcopy(seed))
+            assert S.points.tobytes() == T.points.tobytes()
+            assert S.weights.tobytes() == T.weights.tobytes()
 
     def test_deterministic_under_seed(self) -> None:
         P, _ = small_instance(seed=12, n=200, m=20)

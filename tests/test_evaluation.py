@@ -32,7 +32,7 @@ from rcoreset.evaluation import (
 )
 from rcoreset.solver import lloyd_with_outliers
 
-from oracles import oracle_misalignment, tie_heavy_line
+from oracles import oracle_ball_range, oracle_misalignment, tie_heavy_line
 
 
 def unit_coreset(points: np.ndarray) -> WeightedSet:
@@ -316,6 +316,21 @@ class TestBallRange:
         finally:
             tracemalloc.stop()
         assert peak < 400 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_enumeration_with_duplicated_rows(self, d):
+        rng = np.random.default_rng(60 + d)
+        base = rng.normal(size=(40, d)) * 3.0 + 100.0
+        P_O = np.vstack([base, base[:15], base[:5]])  # rows repeated up to 3 times
+        idx = rng.choice(len(P_O), size=18, replace=True)
+        S_O = WeightedSet(P_O[idx], rng.uniform(0.5, 4.0, 18))
+        for seed in range(3):
+            got = ball_range_check(P_O, S_O, num_balls=400, seed=seed)
+            want = oracle_ball_range(P_O, S_O, 400, seed)
+            assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), (got, want)
+        unit = unit_coreset(P_O)
+        assert ball_range_check(P_O, unit, num_balls=400, seed=0) == 0.0
+        assert oracle_ball_range(P_O, unit, 400, 0) == 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

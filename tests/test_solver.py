@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from rcoreset import CenterSet, robust_cost
-from rcoreset.solver import kmeanspp_seed, lloyd_with_outliers, robust_median_1d
+from rcoreset.solver import (
+    _coordinate_median,
+    kmeanspp_seed,
+    lloyd_with_outliers,
+    robust_median_1d,
+)
 
 from oracles import brute_robust_median_1d
 
@@ -97,6 +102,26 @@ class TestKmeansppSeed:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="k <= "):
             kmeanspp_seed([0.0, 1.0], k=3, z=1, seed=0)
+
+
+class TestCoordinateMedian:
+    def test_matches_per_column_definition(self):
+        # Per column: the smallest value, in stable sorted order, whose
+        # running weight reaches half the column's total.  Tie-heavy
+        # integer grids at three scales, quarter-step and log-normal weights.
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+            X = rng.integers(0, 4, size=(n, d)) * 10.0 ** [-3, 0, 8][trial % 3]
+            w = rng.integers(1, 9, n) * 0.25 if trial % 2 else rng.lognormal(0.0, 2.0, n)
+            want = []
+            for t in range(d):
+                order = sorted(range(n), key=lambda i: X[i, t])
+                cum = np.cumsum(w[order])
+                first = next(j for j in range(n) if cum[j] >= 0.5 * cum[-1])
+                want.append(X[order[first], t])
+            got = _coordinate_median(X, w)
+            assert got.tobytes() == np.array(want).tobytes(), f"trial {trial}"
 
 
 class TestLloydWithOutliers:
