@@ -438,36 +438,53 @@ def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.nd
     return lo
 
 
+def _window_anchors(xs: np.ndarray, keep: int, starts: np.ndarray):
+    """Rows of the sorted line ``xs``, each shifted by its anchor, for windows of ``keep``.
+
+    Starts go keep // 3 + 1 to a group, which shares one row of ``width`` points
+    (the last group the last ``width``), anchored at its middle, between about
+    each window's 1/3 and 2/3 quantiles; while 4 (n - keep) <= n that is xs at n // 2.
+    Returns the rows y, anchor column h, and per start its anchor value and the
+    offset base that puts index i at base + i of ``_sums_outward(y, h)`` raveled.
+    """
+    n = len(xs)
+    per = keep // 3 + 1
+    width = min(per - 1 + keep, n)
+    lo = np.minimum(np.arange(0, n - keep + 1, per), n - width)
+    h = width // 2
+    y = np.lib.stride_tricks.sliding_window_view(xs, width)[lo]
+    y -= xs[lo + h, None]
+    g = starts // per
+    return y, h, g * (width + 1) - lo[g], xs[lo[g] + h]
+
+
 def _line_costs(xs: np.ndarray, cs: np.ndarray, z: int, keep: int) -> np.ndarray:
     """robust_cost of the sorted line ``xs`` at single centers ``cs``.
 
-    Needs 4 (len(xs) - keep) <= len(xs), so that every inlier window
-    contains the median index h = len(xs) // 2 with about a third of the
-    window on either side.  The points are shifted by a = xs[h] and
-    summed outward from h: F[i] - F[s] is then the sum of y = x - a over
-    xs[s : i] for any bounds s <= h <= i, from those points alone, so
-    neither the far tails nor the data's offset enter it.  Each center
-    costs one window bisection and, for z = 1, one split search.
+    Sums of y = x - x_a run outward from each window's anchor x_a, so a
+    window's sum is the difference of two and reads its own points alone.
+    Each center costs one window bisection and, for z = 1, one split search.
     """
-    h = len(xs) // 2
-    y = xs - xs[h]
-    F = _sums_outward(y, h)
     s = _line_window_starts(xs, cs, keep)
-    e = s + keep
-    c = cs - xs[h]
+    y, h, base, a = _window_anchors(xs, keep, s)
+    F = _sums_outward(y, h).ravel()
+    c = cs - a
+    s, e = base + s, base + s + keep
     if z == 1:
         # Every point between a window's ends and its center is inside it.
-        return _abs_dev_sum(F, s, e, c, np.searchsorted(xs, cs))
-    Q = _sums_outward(np.square(y, out=y), h)
+        return _abs_dev_sum(F, s, e, c, base + np.searchsorted(xs, cs))
+    Q = _sums_outward(np.square(y, out=y), h).ravel()
     return (Q[e] - Q[s]) - 2.0 * c * (F[e] - F[s]) + c * c * keep
 
 
 def _sums_outward(v: np.ndarray, h: int) -> np.ndarray:
-    """F with F[i] - F[s] = sum(v[s:i]) for s <= h <= i, accumulated from h."""
-    F = np.empty(len(v) + 1)
-    F[h] = 0.0
-    np.cumsum(v[h:], out=F[h + 1 :])
-    F[:h] = -np.cumsum(v[:h][::-1])[::-1]
+    """F with F[..., i] - F[..., s] = sum(v[..., s:i]) for s <= h <= i, summed from h."""
+    F = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    F[..., h] = 0.0
+    np.cumsum(v[..., h:], axis=-1, out=F[..., h + 1 :])
+    left = F[..., :h]
+    np.cumsum(v[..., :h][..., ::-1], axis=-1, out=left[..., ::-1])
+    np.negative(left, out=left)
     return F
 
 
@@ -486,19 +503,14 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     reassociation; meant for evaluation loops over hundreds of centers.
 
     On the line with one center per set (d = 1, k = 1) the n - m inliers
-    form one window of the sorted data, found by bisection.  While
-    n >= 4m, every window contains the median index h = n // 2, and
-    prefix sums of x - x_h (and of its square for z = 2) accumulated
-    outward from h give each window's cost from its two ends and the
-    center's split point: O(n log n + T log n) time and O(n) memory.
-    The error stays at rounding relative to the cost because every term
-    is O(cost): x_h lies between about the window's 1/3 and 2/3
-    quantiles, so sum |x - x_h| <= 4 cost for z = 1 and, by Cantelli,
-    sum (x - x_h)^2 <= 3 cost for z = 2.  For larger m that bound
-    degrades towards (n - m + 1) cost; on two tight clusters 1e8 apart
-    at m = n - n // 2 - 1 the anchored sums erred by 1e-7 relative.
-    So there each center sums the exact differences over its own
-    slice, in O(T (n - m)) more time.
+    form one window of the sorted data, found by bisection.  Prefix sums
+    of x - x_a (and of its square for z = 2), accumulated outward from an
+    anchor x_a between about the window's 1/3 and 2/3 quantiles
+    (``_window_anchors``), give each window's cost from its two ends and
+    the center's split point: O(n log n + T log n) time and O(n) memory
+    for every m.  The error stays at rounding relative to the cost
+    because every term is O(cost): sum |x - x_a| <= 4 cost for z = 1
+    and, by Cantelli, sum (x - x_a)^2 <= 3 cost for z = 2.
 
     Other shapes take each set's minimum over its centers in one reused
     block buffer, from one product with |p|^2 folded in, in chunks of
@@ -514,16 +526,9 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     keep = n - m
     if keep == 0:
         return np.zeros(T)
-    costs = np.empty(T)
     if batch.shape[1:] == (1, 1):
-        xs = np.sort(points[:, 0])
-        cs = batch[:, 0, 0]
-        if 4 * m <= n:
-            return _line_costs(xs, cs, z, keep)
-        for t, s in enumerate(_line_window_starts(xs, cs, keep)):
-            d = np.abs(xs[s : s + keep] - cs[t])
-            costs[t] = np.sum(d) if z == 1 else np.dot(d, d)
-        return costs
+        return _line_costs(np.sort(points[:, 0]), batch[:, 0, 0], z, keep)
+    costs = np.empty(T)
     for lo, hi, dmin in _min_dist_pow_chunks(points, batch, z):
         if m:
             dmin.partition(keep - 1, axis=1)

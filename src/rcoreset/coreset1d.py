@@ -339,11 +339,12 @@ def build_vanilla_1d(P_sorted, eps: float) -> WeightedSet:
 
 def _validated_sorted(P_sorted) -> np.ndarray:
     pts = np.asarray(P_sorted, dtype=np.float64).reshape(-1)
+    # A NaN fails the comparison pass; sorted points are finite iff both ends are.
+    if (pts[1:] >= pts[:-1]).all() and np.isfinite(pts[:1]).all() and np.isfinite(pts[-1:]).all():
+        return pts
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
-    if len(pts) > 1 and np.any(np.diff(pts) < 0):
-        raise ValueError("P must be sorted ascending")
-    return pts
+    raise ValueError("P must be sorted ascending")
 
 
 def boundary_split(starts, P_sorted, m: int) -> np.ndarray:

@@ -310,6 +310,8 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
     pts = as_points(P_O)
     if num_balls < 1:
         raise ValueError(f"num_balls must be >= 1, got {num_balls}")
+    if S_O.dim != pts.shape[1]:
+        raise ValueError(f"P_O has dimension {pts.shape[1]} but S_O has {S_O.dim}")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     diameter = float(np.linalg.norm(hi - lo))

@@ -28,7 +28,7 @@ __all__ = [
     "generate_instance",
 ]
 
-_FAMILIES = ("lb1d", "obstacle", "ratio", "gauss")
+_OBSTACLE_CAP = 1e300
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,20 @@ def gen_lower_bound_1d(
     return LowerBound1dInstance(points=points, q=q, alpha=alpha, centers=centers)
 
 
-def gen_obstacle(n: int, m: int, *, cap: float = 1e300) -> np.ndarray:
+def gen_obstacle(n: int, m: int) -> np.ndarray:
     """Inliers at i/n for i <= n-m, then far points at n^(3j), j = 1..m.
 
     The far values are computed in log space first; the construction is
-    rejected when the largest one would exceed `cap`.
+    rejected when the largest one would exceed `_OBSTACLE_CAP`.
     """
     n = operator.index(n)
     m = operator.index(m)
     if not n > m >= 2:
         raise ValueError(f"need n > m >= 2, got n={n}, m={m}")
     log_max = 3.0 * m * math.log10(n)
-    if log_max > math.log10(cap):
+    if log_max > math.log10(_OBSTACLE_CAP):
         raise ValueError(
-            f"largest far point 10^{log_max:.1f} exceeds the cap {cap:.3g}; "
+            f"largest far point 10^{log_max:.1f} exceeds the cap {_OBSTACLE_CAP:.3g}; "
             "reduce n or m"
         )
     inliers = np.arange(1, n - m + 1, dtype=np.float64) / n
@@ -200,18 +200,19 @@ def contaminate_cauchy(P, fraction: float, seed=0) -> np.ndarray:
     return points
 
 
+# Each family's generator; the CLI's --family choices are its keys.
+_GENERATORS = {
+    "lb1d": lambda s: gen_lower_bound_1d(s.n, s.m, s.eps).points.reshape(-1, 1),
+    "obstacle": lambda s: gen_obstacle(s.n, s.m).reshape(-1, 1),
+    "ratio": lambda s: gen_ratio_lb(s.n, s.m).reshape(-1, 1),
+    "gauss": lambda s: gen_gaussian_clusters(s.n, s.d, s.k, s.m, seed=s.seed)[0],
+}
+_FAMILIES = tuple(_GENERATORS)
+
+
 def generate_instance(spec: InstanceSpec) -> np.ndarray:
     """Generate the point set for a spec (1-d families come back sorted)."""
-    if spec.family == "lb1d":
-        points = gen_lower_bound_1d(spec.n, spec.m, spec.eps).points.reshape(-1, 1)
-    elif spec.family == "obstacle":
-        points = gen_obstacle(spec.n, spec.m).reshape(-1, 1)
-    elif spec.family == "ratio":
-        points = gen_ratio_lb(spec.n, spec.m).reshape(-1, 1)
-    else:
-        points, _ = gen_gaussian_clusters(
-            spec.n, spec.d, spec.k, spec.m, seed=spec.seed
-        )
+    points = _GENERATORS[spec.family](spec)
     if spec.contamination_fraction > 0.0:
         points = contaminate_cauchy(points, spec.contamination_fraction, spec.seed + 1)
         if points.shape[1] == 1:

@@ -19,6 +19,7 @@ from rcoreset.core import (
     _fill_sorted,
     _nearest_dist_pow,
     _sums_outward,
+    _window_anchors,
     as_points,
 )
 
@@ -44,11 +45,11 @@ def robust_median_1d(P, m: int) -> SolveResult:
     """Exact robust geometric median on the line.
 
     The optimal inlier set is a contiguous window of n - m consecutive
-    points and the optimal center is a median of that window; scanning
-    all m + 1 windows with prefix sums of x - x_h, accumulated outward
-    from the median index h, takes O(n).  Window cost ties are
-    broken toward the smallest left index and the reported center is the
-    lower median of the winning window.
+    points and the optimal center is a median of that window; all m + 1
+    windows are scored from sums of x - x_a outward from an anchor x_a
+    inside each (``core._window_anchors``), exact for every m in O(n)
+    time and memory.  Window cost ties are broken toward the smallest
+    left index and the reported center is the lower median of the window.
     """
     pts = np.asarray(P, dtype=np.float64).reshape(-1)
     n = len(pts)
@@ -58,11 +59,10 @@ def robust_median_1d(P, m: int) -> SolveResult:
     if n > 1 and np.any(np.diff(pts) < 0):
         raise ValueError("P must be sorted ascending")
     length = n - m
-    h = n // 2
-    y = pts - pts[h]
     lefts = np.arange(m + 1)
-    med = lefts + (length - 1) // 2
-    costs = _abs_dev_sum(_sums_outward(y, h), lefts, lefts + length, y[med], med + 1)
+    y, h, base, a = _window_anchors(pts, length, lefts)
+    s, med = base + lefts, lefts + (length - 1) // 2
+    costs = _abs_dev_sum(_sums_outward(y, h).ravel(), s, s + length, pts[med] - a, base + med + 1)
     best = int(np.argmin(costs))
     left, right = best, best + length - 1
     center = float(pts[best + (length - 1) // 2])

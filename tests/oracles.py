@@ -126,7 +126,8 @@ def brute_robust_median_1d(points, m: int) -> tuple[float, int, float]:
     best_l = -1
     for left in range(m + 1):
         window = pts[left : left + length]
-        cost = min(float(np.sum(np.abs(window - c))) for c in window)
+        # Row i holds |window - c| for c = window[i]; each row sums alone.
+        cost = float(np.abs(window[:, None] - window).sum(axis=1).min())
         if cost < best_cost:
             best_cost = cost
             best_l = left

@@ -605,6 +605,23 @@ class TestBatchEvaluators:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("m", [100_000, 199_990])
+    def test_line_memory_stays_linear_in_n_past_a_quarter(self, m, z):
+        # Past n/4 the windows share anchors in groups, whose rows hold at
+        # most about 4n points.  Measured (z = 1 / 2): 7.6 / 10.7 MiB at
+        # m = n/2 and 12.0 / 17.3 MiB at m = n - 10.
+        rng = np.random.default_rng(8)
+        points = np.sort(rng.normal(size=200_000)).reshape(-1, 1)
+        batch = points[rng.choice(200_000, size=200, replace=False)].reshape(-1, 1, 1)
+        tracemalloc.start()
+        try:
+            robust_cost_many(points, batch, z, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
     def test_nd_memory_stays_within_one_output_chunk(self):
         rng = np.random.default_rng(9)
         points = rng.normal(size=(100_000, 10))
@@ -785,9 +802,10 @@ def line_cost_instances(draw):
 
     Families: the tie-heavy grid; Gaussians at an offset from 0 to 1e8,
     optionally with a far outlier block on each end; and two tight
-    clusters 1e8 apart.  m is drawn around both switches of the line
-    path (4m <= n, and the windows sharing the median index) or at
-    random.
+    clusters 1e8 apart.  m is drawn at the edges of the anchor groups
+    (4m <= n, the first m past n/4 whose last group holds one start, and
+    windows of one to three points), around the windows sharing the
+    median index, or at random.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -808,7 +826,9 @@ def line_cost_instances(draw):
         centers = np.concatenate([xs, rng.choice(xs, 5) + rng.normal(size=5), off])
         xs = rng.permutation(xs)
     n = len(xs)
-    pivots = [0, n // 4, n // 4 + 1, n - n // 2 - 1, n - n // 2, n // 2 - 1]
+    pivots = [0, n // 4, n // 4 + 1, n - n // 2 - 1, n - n // 2, n // 2 - 1, n - 1, n - 2, n - 3]
+    # Starts group (n - m) // 3 + 1 to a group; start m opens the last one.
+    pivots += [q for q in range(n // 4 + 1, n) if q % ((n - q) // 3 + 1) == 0][:1]
     m = draw(st.sampled_from([q for q in pivots if 0 <= q <= n]) | st.integers(0, n))
     return xs, centers, draw(st.sampled_from([1, 2])), m
 
@@ -829,8 +849,9 @@ class TestLineCosts:
         points = np.full(1000, offset)
         points[:200] = offset + rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 1e9, 200)
         batch = np.full((3, 1, 1), offset)
-        for m in (200, 250):  # 4m <= n: the prefix-sum path
-            got = robust_cost_many(rng.permutation(points[:4 * m]), batch, z, m)
+        # Up to m = 250 one anchor serves every window; past it, groups do.
+        for m in (200, 250, 300, 500, 799, 999):
+            got = robust_cost_many(rng.permutation(points[: min(4 * m, 1000)]), batch, z, m)
             assert np.array_equal(got, np.zeros(3)), f"m={m}: {got}"
 
     @pytest.mark.parametrize("z", [1, 2])

@@ -305,6 +305,13 @@ class TestBallRange:
         with pytest.raises(ValueError, match="num_balls"):
             ball_range_check(P_O, S_O, num_balls=0, seed=0)
 
+    def test_sample_of_another_dimension_rejected(self):
+        # 1-d far points against a 2-d sample: the kernel would read only
+        # the sample's first column and return a deviation.
+        S_O = WeightedSet(np.random.default_rng(1).normal(size=(10, 2)), np.full(10, 5.0))
+        with pytest.raises(ValueError, match="dimension"):
+            ball_range_check(np.linspace(0.0, 1.0, 50), S_O, num_balls=100, seed=0)
+
     def test_chunk_memory_accounts_for_dimension(self):
         rng = np.random.default_rng(3)
         P_O = rng.normal(size=(2000, 10))

@@ -56,6 +56,20 @@ class TestRobustMedian1d:
             )
             assert res.centers.centers[0, 0] == center
 
+    def test_matches_brute_force_on_two_far_clusters_past_a_quarter(self):
+        # Two tight clusters 1e8 apart.  Past m = n/4 a window may lie
+        # wholly in one cluster while the median index sits in the other;
+        # sums anchored there lose the window costs' last digits.
+        n = 400
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            pts = np.sort(1e-3 * rng.normal(size=n) + np.where(np.arange(n) < n // 2, 0.0, 1e8))
+            for m in (n // 2, 3 * n // 4, n - 5):
+                res = robust_median_1d(pts, m)
+                cost, left, _ = brute_robust_median_1d(pts, m)
+                assert res.inlier_window[0] == left, f"seed {seed}, m={m}"
+                assert res.cost == pytest.approx(cost, rel=1e-12, abs=0), f"seed {seed}, m={m}"
+
     def test_window_unchanged_by_an_exact_shift(self):
         # Multiples of 2^-24 below 1 stay exact after a shift by 2^27.  At
         # m = n - 1 every one-point window costs 0, so rounding alone could
