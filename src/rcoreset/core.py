@@ -348,39 +348,57 @@ def _prepare_center_batch(centers, dim: int) -> np.ndarray:
     return arr
 
 
-# Floats in one (sets, points) output chunk of the batch evaluators, and
-# in the one (centers, points) block buffer each call reuses, which stays
-# in cache from the product to the write into the output chunk.
-_CHUNK_FLOATS = 1.6e7
+# Floats in the one (sets, points) output buffer (8 MiB) that a batch
+# evaluation allocates and reuses for every chunk of sets, and in the one
+# (centers, points) block buffer each chunk reuses, which stays in cache
+# from the product to the write into the output chunk.
+_CHUNK_FLOATS = 2**20
 _BLOCK_FLOATS = 2**17
 
 
-def _min_dist_pow_batch(points: np.ndarray, batch: np.ndarray, z: int) -> np.ndarray:
+def _points_side(points: np.ndarray, ref) -> np.ndarray:
+    """[p - ref, 1, |p - ref|^2] per point: the right factor of the batch product."""
+    n, d = points.shape
+    rhs = np.empty((n, d + 2))
+    shifted = np.subtract(points, ref, out=rhs[:, :d])
+    rhs[:, d] = 1.0
+    np.einsum("ij,ij->i", shifted, shifted, out=rhs[:, d + 1])
+    return rhs
+
+
+def _min_dist_pow_batch(
+    points: np.ndarray, batch: np.ndarray, z: int, *, rhs=None, out=None
+) -> np.ndarray:
     """(T, n) matrix of min_j dist(p, c_tj)^z for a (T, k, d) center batch.
 
     Exact differences on the line.  Otherwise one product of [-2c, |c|^2, 1]
-    and [p, 1, |p|^2] puts a block's squared distances in one reused, flat
-    (T k, B) buffer, whose first T rows take each set's minimum and are then
-    written out, rooted for z = 1.  Entries <= 2^-20 (|p|^2 + |c|^2) are
-    redone from explicit differences: a point on a center gets exactly 0.
+    and rhs = [p, 1, |p|^2] (``_points_side``, built here unless given, with
+    ``points`` its first d columns) puts a block's squared distances in one
+    reused, flat (T k, B) buffer, whose first T rows take each set's minimum
+    and are then written into ``out`` (allocated unless given), rooted for
+    z = 1.  Entries <= 2^-20 (|p|^2 + |c|^2) are redone from explicit
+    differences: a point on a center gets exactly 0.
     """
     T, k, d = batch.shape
-    out = np.empty((T, len(points)))
+    n = len(points)
+    if out is None:
+        out = np.empty((T, n))
     if d == 1:
         np.abs(np.subtract(batch[:, 0], points[:, 0], out=out), out=out)
         for j in range(1, k):
             np.minimum(out, np.abs(batch[:, j] - points[:, 0]), out=out)
         return out if z == 1 else np.square(out, out=out)
+    if rhs is None:
+        rhs = _points_side(points, 0.0)
+    p2 = rhs[:, d + 1]
     flat = batch.transpose(1, 0, 2).reshape(-1, d)  # row j*T + t is c_tj
     c2 = np.einsum("ij,ij->i", flat, flat)
-    p2 = np.einsum("ij,ij->i", points, points)
     lhs = np.column_stack([-2.0 * flat, c2, np.ones(T * k)])
-    rhs = np.column_stack([points, np.ones(len(points)), p2])
     width = max(1, _BLOCK_FLOATS // (T * k))
-    buf = np.empty(T * k * min(width, len(points)))
-    for lo in range(0, len(points), width):
+    buf = np.empty(T * k * min(width, n))
+    for lo in range(0, n, width):
         blk = slice(lo, lo + width)
-        sq = buf[: T * k * len(p2[blk])].reshape(T * k, -1)  # contiguous, the last block too
+        sq = buf[: T * k * min(width, n - lo)].reshape(T * k, -1)  # contiguous, the last block too
         np.matmul(lhs, rhs[blk].T, out=sq)
         o = sq[:T]
         for j in range(1, k):
@@ -403,14 +421,34 @@ def _min_dist_pow_chunks(points: np.ndarray, batch: np.ndarray, z: int):
     centers, which are drawn from the data, so the expansion's error
     stays at roundoff wherever the data sits.  The shift depends on the
     centers alone: a dataset and a coreset at the same batch move alike.
+    The call builds the shifted points side once and allocates one output
+    buffer of at most max(_CHUNK_FLOATS, n) floats; each chunk is a view
+    into it, valid until the next chunk is yielded.
     """
-    if points.shape[1] > 1:
-        ref = batch.reshape(-1, batch.shape[2]).mean(axis=0)
-        points, batch = points - ref, batch - ref
+    n, d = points.shape
     T = len(batch)
-    step = max(1, min(T, int(_CHUNK_FLOATS / max(len(points), 1))))
+    step = max(1, min(T, _CHUNK_FLOATS // max(n, 1)))
+    rhs = None
+    if d > 1:
+        ref = batch.reshape(-1, d).mean(axis=0)
+        rhs = _points_side(points, ref)
+        points, batch = rhs[:, :d], batch - ref
+    buf = np.empty(step * n)
     for lo in range(0, T, step):
-        yield lo, min(lo + step, T), _min_dist_pow_batch(points, batch[lo : lo + step], z)
+        hi = min(lo + step, T)
+        out = buf[: (hi - lo) * n].reshape(hi - lo, n)
+        yield lo, hi, _min_dist_pow_batch(points, batch[lo:hi], z, rhs=rhs, out=out)
+
+
+def _validated_sorted(P_sorted) -> np.ndarray:
+    """P_sorted as a flat float64 array, checked finite and sorted ascending in one pass."""
+    pts = np.asarray(P_sorted, dtype=np.float64).reshape(-1)
+    # A NaN fails the comparison pass; sorted points are finite iff both ends are.
+    if (pts[1:] >= pts[:-1]).all() and np.isfinite(pts[:1]).all() and np.isfinite(pts[-1:]).all():
+        return pts
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain non-finite values")
+    raise ValueError("P must be sorted ascending")
 
 
 def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.ndarray:
@@ -444,18 +482,23 @@ def _window_anchors(xs: np.ndarray, keep: int, starts: np.ndarray):
     Starts go keep // 3 + 1 to a group, which shares one row of ``width`` points
     (the last group the last ``width``), anchored at its middle, between about
     each window's 1/3 and 2/3 quantiles; while 4 (n - keep) <= n that is xs at n // 2.
+    Only the groups that hold one of ``starts`` get a row, in ascending order.
     Returns the rows y, anchor column h, and per start its anchor value and the
     offset base that puts index i at base + i of ``_sums_outward(y, h)`` raveled.
     """
     n = len(xs)
     per = keep // 3 + 1
     width = min(per - 1 + keep, n)
-    lo = np.minimum(np.arange(0, n - keep + 1, per), n - width)
-    h = width // 2
-    y = np.lib.stride_tricks.sliding_window_view(xs, width)[lo]
-    y -= xs[lo + h, None]
     g = starts // per
-    return y, h, g * (width + 1) - lo[g], xs[lo[g] + h]
+    used = np.zeros((n - keep) // per + 1, dtype=bool)
+    used[g] = True
+    lo = np.minimum(np.arange(len(used)) * per, n - width)  # every group's first index
+    h = width // 2
+    y = np.lib.stride_tricks.sliding_window_view(xs, width)[lo[used]]
+    y -= xs[lo[used] + h, None]
+    # Offsets per group, gathered once per start: temporaries of len(starts) cost page faults.
+    base = (np.cumsum(used) - 1) * (width + 1) - lo
+    return y, h, base[g], xs[lo + h][g]
 
 
 def _line_costs(xs: np.ndarray, cs: np.ndarray, z: int, keep: int) -> np.ndarray:
@@ -513,9 +556,10 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     and, by Cantelli, sum (x - x_a)^2 <= 3 cost for z = 2.
 
     Other shapes take each set's minimum over its centers in one reused
-    block buffer, from one product with |p|^2 folded in, in chunks of
-    sets whose (sets, n) output stays under 1.6e7 floats, besides
-    O(n d) for shifted copies of the points.
+    block buffer, from one product with |p|^2 folded in, and partition it
+    in place, in chunks of sets that share one reused (sets, n) output
+    buffer of at most max(_CHUNK_FLOATS, n) floats, besides the n (d + 2)
+    floats of the shifted points side, built once per call.
     """
     points = as_points(P)
     n = len(points)
@@ -546,7 +590,9 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
     are sorted and give up m units farthest-first, so the fill's
     rounding is at the scale of m, not of w(S).  That is
     O(T |S| + T r log r) time past the distances, and in memory the
-    distance chunk of at most 1.6e7 floats plus its selection indices.
+    points side and one reused distance buffer of at most
+    max(_CHUNK_FLOATS, |S|) floats (``_min_dist_pow_chunks``), plus one
+    chunk's selection indices.
     m = 0 keeps every weight whole, and m = w(S) costs exactly 0.
     """
     total = S.total_weight

@@ -35,6 +35,7 @@ from rcoreset.core import (
     _abs_dev_sum,
     _line_window_starts,
     _sums_outward,
+    _validated_sorted,
 )
 from rcoreset.solver import robust_median_1d
 
@@ -335,16 +336,6 @@ def build_vanilla_1d(P_sorted, eps: float) -> WeightedSet:
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return _summarise(pts, _vanilla_buckets(pts, 0, len(pts), eps))[0]
-
-
-def _validated_sorted(P_sorted) -> np.ndarray:
-    pts = np.asarray(P_sorted, dtype=np.float64).reshape(-1)
-    # A NaN fails the comparison pass; sorted points are finite iff both ends are.
-    if (pts[1:] >= pts[:-1]).all() and np.isfinite(pts[:1]).all() and np.isfinite(pts[-1:]).all():
-        return pts
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite values")
-    raise ValueError("P must be sorted ascending")
 
 
 def boundary_split(starts, P_sorted, m: int) -> np.ndarray:

@@ -304,8 +304,9 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
     uniform in (0, diagonal]; returns the maximum over balls of
     | |P_O ∩ B| / |P_O|  −  w(S_O ∩ B) / w(S_O) |.  Point-to-ball
     distances come from the batch kernel with one ball per center set,
-    once for P_O and once for S_O, so memory peaks at the kernel's
-    (balls, points) output chunk.
+    once for P_O and once for S_O, so whatever the number of balls,
+    memory stays at the kernel's points side and its one reused output
+    buffer of at most max(2^20, points) floats (``core._CHUNK_FLOATS``).
     """
     pts = as_points(P_O)
     if num_balls < 1:

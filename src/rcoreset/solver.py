@@ -19,6 +19,7 @@ from rcoreset.core import (
     _fill_sorted,
     _nearest_dist_pow,
     _sums_outward,
+    _validated_sorted,
     _window_anchors,
     as_points,
 )
@@ -50,14 +51,13 @@ def robust_median_1d(P, m: int) -> SolveResult:
     inside each (``core._window_anchors``), exact for every m in O(n)
     time and memory.  Window cost ties are broken toward the smallest
     left index and the reported center is the lower median of the window.
+    P must be finite and sorted ascending.
     """
-    pts = np.asarray(P, dtype=np.float64).reshape(-1)
+    pts = _validated_sorted(P)
     n = len(pts)
     m = operator.index(m)
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={n}")
-    if n > 1 and np.any(np.diff(pts) < 0):
-        raise ValueError("P must be sorted ascending")
     length = n - m
     lefts = np.arange(m + 1)
     y, h, base, a = _window_anchors(pts, length, lefts)

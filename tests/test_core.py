@@ -20,6 +20,7 @@ from rcoreset import (
     robust_cost_weighted,
     robust_cost_weighted_many,
 )
+import rcoreset.core as core
 from rcoreset.core import (
     _BLOCK_FLOATS,
     _abs_dev_sum,
@@ -27,6 +28,7 @@ from rcoreset.core import (
     _fill_sorted,
     _line_window_starts,
     _min_dist_pow_batch,
+    _min_dist_pow_chunks,
     _nearest_dist_pow,
     _split_far,
     _sums_outward,
@@ -645,6 +647,76 @@ class TestBatchEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 400 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    def test_nd_memory_stays_within_one_reused_chunk_at_500_sets(self):
+        # 500 sets of 5 centers at n = 1e5, d = 10: a (500, n) distance
+        # matrix alone would be 400 MB.  One 8 MiB output buffer, the 9.6 MB
+        # points side and the 1 MiB block buffer stay far under the bound.
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(100_000, 10))
+        batch = points[rng.choice(100_000, size=(500, 5), replace=False)]
+        tracemalloc.start()
+        try:
+            robust_cost_many(points, batch, 1, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
+class TestBatchChunks:
+    # 11 sets at 4 sets to a chunk: chunks of 4, 4 and a partial 3.
+    T, n = 11, 300
+
+    def instance(self, d, k):
+        """Points and a batch with one center of every set on a data point."""
+        rng = np.random.default_rng(30 + 10 * d + k)
+        points = rng.normal(size=(self.n, d)) * 3.0 + 50.0
+        batch = rng.normal(size=(self.T, k, d)) * 3.0 + 50.0
+        batch[np.arange(self.T), np.arange(self.T) % k] = points[27 * np.arange(self.T)]
+        return points, batch
+
+    def costs(self, points, batch, S):
+        return [
+            robust_cost_many(points, batch, z, m) for z in (1, 2) for m in (0, 40)
+        ] + [
+            robust_cost_weighted_many(S, batch, z, m)
+            for z in (1, 2)
+            for m in (0.0, 40.5, S.total_weight)
+        ]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_chunks_match_one_chunk(self, d, k, monkeypatch):
+        points, batch = self.instance(d, k)
+        S = WeightedSet(points, np.random.default_rng(d + k).uniform(0.5, 2.0, self.n))
+        monkeypatch.setattr(core, "_CHUNK_FLOATS", self.T * self.n)
+        assert [(lo, hi) for lo, hi, _ in _min_dist_pow_chunks(points, batch, 1)] == [(0, 11)]
+        whole = self.costs(points, batch, S)
+        monkeypatch.setattr(core, "_CHUNK_FLOATS", 4 * self.n)
+        assert [(lo, hi) for lo, hi, _ in _min_dist_pow_chunks(points, batch, 1)] == [
+            (0, 4),
+            (4, 8),
+            (8, 11),
+        ]
+        for got, want in zip(self.costs(points, batch, S), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_points_on_centers_score_exactly_zero_in_every_chunk(self, d, k, z, monkeypatch):
+        points, batch = self.instance(d, k)
+        monkeypatch.setattr(core, "_CHUNK_FLOATS", 4 * self.n)
+        on = (points[None, None] == batch[:, :, None]).all(axis=-1).any(axis=1)
+        got = np.empty((self.T, self.n))
+        for lo, hi, dmin in _min_dist_pow_chunks(points, batch, z):
+            got[lo:hi] = dmin
+        assert np.array_equal(got == 0, on), f"zeros at {np.argwhere((got == 0) != on)}"
+        want = np.array([_nearest_dist_pow(points, c, z)[1] for c in batch])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        keep_one = robust_cost_many(points, batch, z, self.n - 1)
+        assert np.array_equal(keep_one, np.zeros(self.T)), f"keep=1 costs {keep_one}"
 
 
 class TestNearestDistPow:

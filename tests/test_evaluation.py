@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcoreset.core as core
 from rcoreset.core import (
     CenterSet,
     WeightedSet,
@@ -323,6 +324,34 @@ class TestBallRange:
         finally:
             tracemalloc.stop()
         assert peak < 400 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    def test_memory_stays_within_one_reused_chunk_at_10000_balls(self):
+        # 10,000 balls over 5e4 points: the (balls, points) distances alone
+        # would be 4 GB; one reused 8 MiB chunk and the points side remain.
+        rng = np.random.default_rng(4)
+        P_O = rng.normal(size=(50_000, 5))
+        S_O = WeightedSet(P_O[:2000], np.full(2000, 25.0))
+        tracemalloc.start()
+        try:
+            ball_range_check(P_O, S_O, num_balls=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_chunks_match_one_chunk(self, d, monkeypatch):
+        # 11 balls at 4 to a chunk of P_O (chunks of 4, 4 and a partial 3)
+        # and 8 to a chunk of S_O (8 and a partial 3).
+        rng = np.random.default_rng(70 + d)
+        P_O = rng.normal(size=(300, d))
+        S_O = WeightedSet(P_O[:150], rng.uniform(0.5, 4.0, 150))
+        devs = []
+        for floats in (11 * 300, 4 * 300):
+            monkeypatch.setattr(core, "_CHUNK_FLOATS", floats)
+            devs.append([ball_range_check(P_O, S_O, num_balls=11, seed=s) for s in range(5)])
+        np.testing.assert_allclose(devs[1], devs[0], rtol=1e-12, atol=0)
+        assert ball_range_check(P_O, unit_coreset(P_O), num_balls=11, seed=0) == 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_matches_enumeration_with_duplicated_rows(self, d):

@@ -42,6 +42,21 @@ class TestRobustMedian1d:
         with pytest.raises(ValueError, match="sorted"):
             robust_median_1d([1.0, 0.0], m=0)
 
+    @pytest.mark.parametrize("at, bad", [(5, np.nan), (0, -np.inf), (-1, np.inf)])
+    def test_non_finite_rejected(self, at, bad):
+        # A NaN fails every comparison, so a check for descents alone let
+        # it through to a NaN cost; infinite ends keep the points sorted.
+        x = np.sort(np.random.default_rng(0).normal(size=20))
+        x[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            robust_median_1d(x, 2)
+
+    def test_descent_inside_rejected(self):
+        x = np.sort(np.random.default_rng(1).normal(size=20))
+        x[[7, 8]] = x[[8, 7]]
+        with pytest.raises(ValueError, match="must be sorted"):
+            robust_median_1d(x, 2)
+
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(42)
         for trial in range(120):
