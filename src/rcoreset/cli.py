@@ -16,6 +16,7 @@ import argparse
 import secrets
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one CLI invocation."""
+    """Validated parameters of one CLI invocation: each flag's default and check."""
 
     command: str
     input: str | None = None
@@ -84,6 +85,8 @@ class RunConfig:
     contaminate: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "builders", tuple(self.builders))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if self.n is not None and self.n < 1:
             raise ValueError(f"--n must be >= 1, got {self.n}")
         if self.m < 0:
@@ -283,12 +286,6 @@ def _coreset_builder(P: np.ndarray, cfg: RunConfig, tag: str):
 
 
 def _cmd_generate(cfg: RunConfig, out) -> int:
-    if cfg.family is None:
-        raise ValueError("generate needs --family")
-    if cfg.n is None:
-        raise ValueError("generate needs --n")
-    if cfg.output is None:
-        raise ValueError("generate needs --output")
     spec = instances.InstanceSpec(
         family=cfg.family,
         n=cfg.n,
@@ -310,8 +307,6 @@ def _cmd_generate(cfg: RunConfig, out) -> int:
 
 
 def _cmd_build(cfg: RunConfig, out) -> int:
-    if cfg.input is None or cfg.output is None:
-        raise ValueError("build needs --input and --output")
     if len(cfg.builders) != 1:
         raise ValueError("build needs exactly one --builder")
     P = parse_dataset(cfg.input)
@@ -326,8 +321,6 @@ def _cmd_build(cfg: RunConfig, out) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, out) -> int:
-    if cfg.input is None:
-        raise ValueError("eval needs --input")
     if len(cfg.builders) != 1:
         raise ValueError("eval needs exactly one --builder")
     tag = cfg.builders[0]
@@ -356,10 +349,6 @@ def _cmd_eval(cfg: RunConfig, out) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out) -> int:
-    if cfg.input is None:
-        raise ValueError("sweep needs --input")
-    if not cfg.sizes:
-        raise ValueError("sweep needs --sizes")
     tags = cfg.builders or ("oursnd", "hjlw23", "hllw25", "uniform")
     if "ours1d" in tags:
         raise ValueError("ours1d has no size target; sweep supports the nd builders")
@@ -378,10 +367,6 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
 
 
 def _cmd_bench(cfg: RunConfig, out) -> int:
-    if cfg.input is None:
-        raise ValueError("bench needs --input")
-    if cfg.size is None:
-        raise ValueError("bench needs --size")
     tags = cfg.builders or ("oursnd", "hllw25")
     if "ours1d" in tags:
         raise ValueError("ours1d has no size target; bench supports the nd builders")
@@ -398,8 +383,6 @@ def _cmd_bench(cfg: RunConfig, out) -> int:
 
 
 def _cmd_check_assumptions(cfg: RunConfig, out) -> int:
-    if cfg.input is None:
-        raise ValueError("check-assumptions needs --input")
     P = parse_dataset(cfg.input)
     report = check_assumptions(P, _approx_centers(P, cfg), cfg.m, cfg.k, cfg.z)
     print(f"cluster_sizes: {list(report.cluster_sizes)}", file=out)
@@ -424,21 +407,72 @@ def _cmd_check_assumptions(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+
+
+# Each flag once: how argparse reads it.  Defaults and value checks live
+# in RunConfig, and a flag's namespace name is its RunConfig field.
+_FLAGS = {
+    "input": dict(help="input dataset CSV"),
+    "output": dict(help="output file path"),
+    "n": dict(type=int, help="number of points to generate"),
+    "m": dict(type=int, help="number of outliers"),
+    "d": dict(type=int, help="dimension"),
+    "k": dict(type=int, help="number of centers"),
+    "z": dict(type=int, help="cost exponent: 1 or 2"),
+    "eps": dict(type=float, help="target relative error in (0, 1)"),
+    "size": dict(type=int, help="coreset row target"),
+    "sizes": dict(type=_int_list, help="comma-separated row targets"),
+    "builder": dict(action="append", dest="builders", metavar="TAG", help="builder tag, one of "
+                    f"{', '.join(_BUILDERS)}; repeatable where several apply"),
+    "trials": dict(type=int, help="independent trials"),
+    "seed": dict(type=int, help="64-bit seed; omitted = system entropy"),
+    "centers": dict(type=int, help="candidate centers per trial"),
+    "allow-small-n": dict(action="store_true", help="build even when n < 4m (guarantees void)"),
+    "family": dict(help=f"instance family, one of {', '.join(instances._FAMILIES)}"),
+    "contaminate": dict(type=float, metavar="FRACTION",
+                        help="replace this fraction with heavy-tailed noise"),
+}
+
+
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig, object], int]
+    help: str
+    flags: str  # _FLAGS keys
+    needs: str  # RunConfig fields that must be given
+
+
+_BUILD_FLAGS = "input output m k z eps size builder seed allow-small-n"
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "build": _cmd_build,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
-    "check-assumptions": _cmd_check_assumptions,
+    "generate": _Command(_cmd_generate, "write a synthetic instance as CSV",
+                         "family n m d k eps seed contaminate output", "family n output"),
+    "build": _Command(_cmd_build, "build a coreset and write it as CSV",
+                      _BUILD_FLAGS, "input output"),
+    "eval": _Command(_cmd_eval, "empirical error of one builder over trials",
+                     _BUILD_FLAGS + " trials centers", "input"),
+    "sweep": _Command(_cmd_sweep, "size-error table across builders and sizes",
+                      "input output m k z sizes builder trials centers seed", "input sizes"),
+    "bench": _Command(_cmd_bench, "build/solve timings against the full-data solve",
+                      "input output m k z size builder seed", "input size"),
+    "check-assumptions": _Command(_cmd_check_assumptions,
+                                  "structural diagnostics at an approximate solution",
+                                  "input m k z seed", "input"),
 }
 
 
 def run(cfg: RunConfig, out=None) -> int:
     """Dispatch a validated config; returns the process exit code."""
     out = sys.stdout if out is None else out
+    command = _COMMANDS[cfg.command]
     try:
-        return _COMMANDS[cfg.command](cfg, out)
+        for field in command.needs.split():
+            if getattr(cfg, field) in (None, ()):
+                raise ValueError(f"{cfg.command} needs --{field}")
+        return command.handler(cfg, out)
     except AssumptionViolationError as exc:
         print(f"assumption violation: {exc}", file=out)
         return EXIT_ASSUMPTION
@@ -450,84 +484,34 @@ def run(cfg: RunConfig, out=None) -> int:
         return EXIT_IO
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only its flags and no defaults.
+
+    A flag not given stays out of the namespace, so RunConfig supplies
+    its default.  No abbreviations: ``sweep --size`` is not ``--sizes``.
+    """
     parser = argparse.ArgumentParser(
         prog="rcoreset",
         description="Coresets for robust geometric median and (k,z)-clustering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("generate", "write a synthetic instance as CSV"),
-        ("build", "build a coreset and write it as CSV"),
-        ("eval", "empirical error of one builder over trials"),
-        ("sweep", "size-error table across builders and sizes"),
-        ("bench", "build/solve timings against the full-data solve"),
-        ("check-assumptions", "structural diagnostics at an approximate solution"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--input", help="input dataset CSV")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--n", type=int, help="number of points to generate")
-        p.add_argument("--m", type=int, default=0, help="number of outliers")
-        p.add_argument("--d", type=int, default=1, help="dimension (generate)")
-        p.add_argument("--k", type=int, default=1, help="number of centers")
-        p.add_argument("--z", type=int, default=1, choices=(1, 2), help="cost exponent")
-        p.add_argument("--eps", type=float, help="target relative error in (0, 1)")
-        p.add_argument("--size", type=int, help="coreset row target")
-        p.add_argument("--sizes", type=_int_list, default=(), help="comma-separated row targets")
-        p.add_argument(
-            "--builder", action="append", default=[], choices=_BUILDERS,
-            help="builder tag (repeatable where several apply)",
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
-        p.add_argument("--trials", type=int, default=1, help="independent trials")
-        p.add_argument("--seed", type=int, help="64-bit seed; omitted = system entropy")
-        p.add_argument("--centers", type=int, default=100, help="candidate centers per trial")
-        p.add_argument(
-            "--allow-small-n", action="store_true",
-            help="build even when n < 4m (guarantees void)",
-        )
-        p.add_argument(
-            "--family", choices=instances._FAMILIES, help="instance family (generate)"
-        )
-        p.add_argument("--contaminate", type=float, default=0.0, metavar="FRACTION",
-                       help="replace this fraction with heavy-tailed noise")
+        for flag in command.flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:  # argparse reports its own usage errors
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    seed = _resolve_seed(args.seed, sys.stdout)
+    args["seed"] = _resolve_seed(args.get("seed"), sys.stdout)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            n=args.n,
-            m=args.m,
-            d=args.d,
-            k=args.k,
-            z=args.z,
-            eps=args.eps,
-            builders=tuple(args.builder),
-            size=args.size,
-            sizes=tuple(args.sizes),
-            trials=args.trials,
-            seed=seed,
-            centers=args.centers,
-            allow_small_n=args.allow_small_n,
-            family=args.family,
-            contaminate=args.contaminate,
-        )
+        cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"invalid input: {exc}")
         return EXIT_INVALID

@@ -609,13 +609,10 @@ def robust_cost_weighted_many(S: WeightedSet, centers, z: int, m: float) -> np.n
             continue
         # Entries are gathered by flat index, one set per row of dmin.
         sets = np.arange(len(dmin))[:, None]
-        if r < n:
-            top = np.argpartition(dmin, n - r, axis=1)[:, n - r :] + sets * n
-            d_top = dmin.take(top)
-            dmin.put(top, 0.0)
-            costs[lo:hi] = dmin @ w  # the rows kept whole
-        else:
-            top, d_top = sets * n + np.arange(n), dmin
+        top = np.argpartition(dmin, n - r, axis=1)[:, n - r :] + sets * n
+        d_top = dmin.take(top)
+        dmin.put(top, 0.0)
+        costs[lo:hi] = dmin @ w  # the rows kept whole
         order = np.argsort(d_top, axis=1)[:, ::-1] + sets * r  # farthest first
         w_top = w.take(top.take(order) % n)
         dropped = _fill_sorted(w_top.T, m)

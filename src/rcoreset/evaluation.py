@@ -29,6 +29,7 @@ from rcoreset.core import (
     CenterSet,
     WeightedSet,
     _min_dist_pow_chunks,
+    _validated_sorted,
     as_points,
     inlier_assignment,
     outlier_split,
@@ -367,9 +368,7 @@ def misalignment_check(
     from inlier_assignment, so ties at equal distance go to the larger
     index on both sides, as in the robust cost itself.
     """
-    pts = as_points(P_sorted)[:, 0]
-    if np.any(np.diff(pts) < 0):
-        raise ValueError("P must be sorted ascending")
+    pts = _validated_sorted(as_points(P_sorted)[:, 0])
     if len(S) != len(buckets):
         raise ValueError(f"{len(buckets)} buckets but {len(S)} coreset rows")
     n = len(pts)

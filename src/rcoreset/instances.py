@@ -200,7 +200,7 @@ def contaminate_cauchy(P, fraction: float, seed=0) -> np.ndarray:
     return points
 
 
-# Each family's generator; the CLI's --family choices are its keys.
+# Each family's generator; its keys are the values the CLI's --family takes.
 _GENERATORS = {
     "lb1d": lambda s: gen_lower_bound_1d(s.n, s.m, s.eps).points.reshape(-1, 1),
     "obstacle": lambda s: gen_obstacle(s.n, s.m).reshape(-1, 1),

@@ -15,6 +15,7 @@ import numpy as np
 
 from rcoreset.core import (
     CenterSet,
+    WeightedSet,
     _abs_dev_sum,
     _fill_sorted,
     _nearest_dist_pow,
@@ -85,17 +86,16 @@ def _weighted_draw(rng: np.random.Generator, mass: np.ndarray) -> int:
 def kmeanspp_seed(P, k: int, z: int, seed, weights=None) -> CenterSet:
     """k distinct input points, each round drawn with mass dist(·, chosen)^z.
 
-    Optional per-point weights multiply the sampling mass so the seeding
-    can run on weighted coresets.  Deterministic given the seed.
+    Optional per-point weights (finite and positive, as in a WeightedSet)
+    multiply the sampling mass so the seeding can run on weighted
+    coresets.  Deterministic given the seed.
     """
     points = as_points(P)
     n = len(points)
     k = operator.index(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= |P|, got k={k}, |P|={n}")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if len(w) != n:
-        raise ValueError(f"{n} points but {len(w)} weights")
+    w = np.ones(n) if weights is None else WeightedSet(points, weights).weights
     rng = np.random.default_rng(seed)
     chosen = [_weighted_draw(rng, w)]
     dpow = None
@@ -154,7 +154,7 @@ def lloyd_with_outliers(
     n = len(points)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.ones(n) if weights is None else WeightedSet(points, weights).weights
     total = float(np.sum(w))
     m = float(m)
     if not 0 <= m < total:
@@ -164,7 +164,7 @@ def lloyd_with_outliers(
             raise ValueError("init must supply k centers of matching dimension")
         centers = init.centers.copy()
     else:
-        centers = kmeanspp_seed(points, k, z, seed, weights=w).centers.copy()
+        centers = kmeanspp_seed(points, k, z, seed, weights=weights).centers.copy()
     budget = total - m
 
     def evaluate(ctrs: np.ndarray):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -518,3 +520,87 @@ class TestArgumentPlumbing:
         assert run_cli("eval", "--input", gauss_csv, "--builder", "uniform",
                        "--m", "-3", "--size", "10", "--seed", "0") == EXIT_INVALID
         assert "invalid input" in capsys.readouterr().out
+
+
+# The flags each command reads and the first flag it needs, written out
+# here apart from cli's own table.
+_READS = {
+    "generate": "family n m d k eps seed contaminate output",
+    "build": "input output m k z eps size builder seed allow-small-n",
+    "eval": "input output m k z eps size builder seed allow-small-n trials centers",
+    "sweep": "input output m k z sizes builder trials centers seed",
+    "bench": "input output m k z size builder seed",
+    "check-assumptions": "input m k z seed",
+}
+_NEEDS = {
+    "generate": ("family", "n", "output"),
+    "build": ("input", "output"),
+    "eval": ("input",),
+    "sweep": ("input", "sizes"),
+    "bench": ("input", "size"),
+    "check-assumptions": ("input",),
+}
+_VALUES = {"allow-small-n": [], "builder": ["uniform"], "family": ["gauss"],
+           "sizes": ["5,6"], "eps": ["0.5"], "contaminate": ["0.1"],
+           "input": ["in.csv"], "output": ["out.csv"]}
+
+
+def _flag(name: str) -> list[str]:
+    return [f"--{name}", *_VALUES.get(name, ["3"])]
+
+
+class TestFlagTable:
+    def test_each_command_takes_exactly_its_flags(self, capsys):
+        every = set(" ".join(_READS.values()).split())
+        assert len(every) == 17
+        parser = cli._build_parser()
+        accepted = set()
+        for command in _READS:
+            for name in sorted(every):
+                try:
+                    parser.parse_args([command, *_flag(name)])
+                except SystemExit as exc:
+                    assert exc.code == 2
+                else:
+                    accepted.add((command, name))
+        capsys.readouterr()
+        want = {(c, name) for c, flags in _READS.items() for name in flags.split()}
+        assert accepted == want
+        assert len(accepted) == 54
+
+    @pytest.mark.parametrize("command, foreign", [
+        ("generate", "input"), ("build", "trials"), ("eval", "sizes"),
+        ("sweep", "size"), ("bench", "centers"), ("check-assumptions", "output"),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2_before_the_seed(
+        self, command, foreign, capsys
+    ):
+        assert run_cli(command, *_flag(foreign), "--seed", "1") == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "seed:" not in captured.out
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_run_names_the_first_missing_flag(self, command):
+        out = io.StringIO()
+        assert cli.run(RunConfig(command=command), out) == EXIT_INVALID
+        assert out.getvalue() == f"invalid input: {command} needs --{_NEEDS[command][0]}\n"
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_flags_not_given_take_run_config_defaults(self, command):
+        argv = [command]
+        for name in _NEEDS[command]:
+            argv += _flag(name)
+        args = vars(cli._build_parser().parse_args(argv))
+        assert set(args) == {"command", *_NEEDS[command]}
+        cfg = RunConfig(**args)
+        for field in dataclasses.fields(RunConfig):
+            if field.name not in args:
+                assert getattr(cfg, field.name) == field.default, field.name
+
+    def test_unknown_family_is_invalid_after_the_seed(self, tmp_path, capsys):
+        code = run_cli("generate", "--family", "nope", "--n", "10", "--seed", "4",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert out.startswith("seed: 4\n") and "unknown family 'nope'" in out

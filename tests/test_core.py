@@ -512,9 +512,12 @@ class TestBatchEvaluators:
             want = [robust_cost(points, CenterSet(c, z=z), 40) for c in batch]
             np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=f"d={d}")
             S = WeightedSet(points[:500], rng.uniform(0.5, 2.0, 500))
-            got_w = robust_cost_weighted_many(S, batch, z, 30.5)
-            want_w = [robust_cost_weighted(S, CenterSet(c, z=z), 30.5) for c in batch]
-            np.testing.assert_allclose(got_w, want_w, rtol=1e-9, err_msg=f"d={d}")
+            # At m = w(S) - 1 every row may give up weight: _drop_bound is n.
+            assert core._drop_bound(S.weights, S.total_weight - 1.0) == len(S)
+            for m in (30.5, S.total_weight - 1.0):
+                got_w = robust_cost_weighted_many(S, batch, z, m)
+                want_w = [robust_cost_weighted(S, CenterSet(c, z=z), m) for c in batch]
+                np.testing.assert_allclose(got_w, want_w, rtol=1e-9, err_msg=f"d={d}, m={m}")
 
     @pytest.mark.parametrize("z", [1, 2])
     def test_line_single_inlier_on_a_point_costs_exactly_zero(self, z):

@@ -15,6 +15,14 @@ from rcoreset.solver import (
 
 from oracles import brute_robust_median_1d
 
+# 50 points in the plane, and weights that are not a WeightedSet's.
+_P50 = np.random.default_rng(8).normal(size=(50, 2))
+_BAD_WEIGHTS = pytest.mark.parametrize(
+    "weights",
+    [np.ones(60), np.r_[-5.0, np.ones(49)], np.r_[np.nan, np.ones(49)]],
+    ids=["60 for 50 points", "negative", "nan"],
+)
+
 
 class TestRobustMedian1d:
     def test_drops_far_outlier(self):
@@ -132,6 +140,11 @@ class TestKmeansppSeed:
         with pytest.raises(ValueError, match="k <= "):
             kmeanspp_seed([0.0, 1.0], k=3, z=1, seed=0)
 
+    @_BAD_WEIGHTS
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            kmeanspp_seed(_P50, k=3, z=2, seed=0, weights=weights)
+
 
 class TestCoordinateMedian:
     def test_matches_per_column_definition(self):
@@ -154,6 +167,13 @@ class TestCoordinateMedian:
 
 
 class TestLloydWithOutliers:
+    @_BAD_WEIGHTS
+    def test_bad_weights_rejected_with_init_given(self, weights):
+        # With init given, no seeding checks the weights first.
+        with pytest.raises(ValueError):
+            lloyd_with_outliers(_P50, k=3, m=2, z=2, init=CenterSet(_P50[:3], z=2),
+                                weights=weights)
+
     def test_fixed_point_with_given_init(self):
         res = lloyd_with_outliers(
             [0.0, 1.0, 100.0], k=1, m=1, z=2, max_iters=10, seed=0,
