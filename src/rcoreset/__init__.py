@@ -22,7 +22,6 @@ from rcoreset.coreset1d import (
 )
 from rcoreset.coreset_nd import (
     AssumptionReport,
-    NdCoresetConfig,
     build_robust_kz,
     build_robust_kz_full,
     check_assumptions,
@@ -58,7 +57,6 @@ __all__ = [
     "EvalReport",
     "InlierAssignment",
     "InstanceSpec",
-    "NdCoresetConfig",
     "SolveResult",
     "SweepResult",
     "WeightedSet",

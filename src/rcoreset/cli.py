@@ -23,7 +23,7 @@ import numpy as np
 from rcoreset import instances
 from rcoreset.core import AssumptionViolationError, WeightedSet, as_points
 from rcoreset.coreset1d import build_robust_1d
-from rcoreset.coreset_nd import NdCoresetConfig, build_robust_kz, check_assumptions
+from rcoreset.coreset_nd import check_assumptions
 from rcoreset.evaluation import (
     BuilderFn,
     default_builders,
@@ -256,6 +256,25 @@ def _size_builders(tags, C_star) -> dict[str, BuilderFn]:
     return {tag: registry["ours" if tag == "oursnd" else tag] for tag in tags}
 
 
+def _one_builder(cfg: RunConfig) -> str:
+    """The one builder tag of ``build`` and ``eval``, checked against the flags.
+
+    ``ours1d`` reads --eps and --allow-small-n, the nd builders --size; a
+    flag the chosen builder does not read is rejected.
+    """
+    if len(cfg.builders) != 1:
+        raise ValueError(f"{cfg.command} needs exactly one --builder")
+    tag = cfg.builders[0]
+    if tag == "ours1d":
+        unread = {"size": cfg.size is not None}
+    else:
+        unread = {"eps": cfg.eps is not None, "allow-small-n": cfg.allow_small_n}
+    for flag, given in unread.items():
+        if given:
+            raise ValueError(f"{tag} does not read --{flag}")
+    return tag
+
+
 def _coreset_builder(P: np.ndarray, cfg: RunConfig, tag: str):
     """The coreset the build flags ask for, as a function of the seed.
 
@@ -271,13 +290,6 @@ def _coreset_builder(P: np.ndarray, cfg: RunConfig, tag: str):
         return lambda seed: build_robust_1d(
             pts, cfg.m, cfg.eps, allow_small_n=cfg.allow_small_n
         )
-    if tag == "oursnd" and cfg.size is None:
-        if cfg.eps is None:
-            raise ValueError("oursnd needs --size or --eps")
-        C_star = _approx_centers(P, cfg)
-        return lambda seed: build_robust_kz(
-            P, cfg.m, cfg.k, cfg.z, NdCoresetConfig(eps=cfg.eps, seed=seed), C_star
-        )
     if cfg.size is None:
         raise ValueError(f"{tag} needs --size")
     C_star = None if tag == "uniform" else _approx_centers(P, cfg)
@@ -292,7 +304,7 @@ def _cmd_generate(cfg: RunConfig, out) -> int:
         m=cfg.m,
         d=cfg.d,
         k=cfg.k,
-        eps=cfg.eps if cfg.eps is not None else 0.1,
+        eps=cfg.eps,
         seed=cfg.seed,
         contamination_fraction=cfg.contaminate,
     )
@@ -307,13 +319,12 @@ def _cmd_generate(cfg: RunConfig, out) -> int:
 
 
 def _cmd_build(cfg: RunConfig, out) -> int:
-    if len(cfg.builders) != 1:
-        raise ValueError("build needs exactly one --builder")
+    tag = _one_builder(cfg)
     P = parse_dataset(cfg.input)
-    S = _coreset_builder(P, cfg, cfg.builders[0])((cfg.seed, 0))
+    S = _coreset_builder(P, cfg, tag)((cfg.seed, 0))
     write_coreset_csv(cfg.output, S, cfg.seed)
     print(
-        f"built {cfg.builders[0]}: {len(S)} rows, total weight {S.total_weight:.17g} "
+        f"built {tag}: {len(S)} rows, total weight {S.total_weight:.17g} "
         f"-> {cfg.output}",
         file=out,
     )
@@ -321,9 +332,7 @@ def _cmd_build(cfg: RunConfig, out) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, out) -> int:
-    if len(cfg.builders) != 1:
-        raise ValueError("eval needs exactly one --builder")
-    tag = cfg.builders[0]
+    tag = _one_builder(cfg)
     P = parse_dataset(cfg.input)
     build = _coreset_builder(P, cfg, tag)
     lines = ["builder,trial,coreset_rows,error,skipped_centers,seed"]
@@ -424,7 +433,7 @@ _FLAGS = {
     "d": dict(type=int, help="dimension"),
     "k": dict(type=int, help="number of centers"),
     "z": dict(type=int, help="cost exponent: 1 or 2"),
-    "eps": dict(type=float, help="target relative error in (0, 1)"),
+    "eps": dict(type=float, help="ours1d's target relative error, lb1d's parameter; in (0, 1)"),
     "size": dict(type=int, help="coreset row target"),
     "sizes": dict(type=_int_list, help="comma-separated row targets"),
     "builder": dict(action="append", dest="builders", metavar="TAG", help="builder tag, one of "

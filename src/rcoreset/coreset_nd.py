@@ -37,7 +37,6 @@ from rcoreset.core import (
 __all__ = [
     "AssumptionReport",
     "NdBuild",
-    "NdCoresetConfig",
     "build_inlier_coreset",
     "build_robust_kz",
     "build_robust_kz_full",
@@ -46,10 +45,6 @@ __all__ = [
     "sample_outlier_coreset",
     "split_sample_sizes",
 ]
-
-
-def _log_factor(eps: float) -> int:
-    return math.ceil(math.log2(1.0 / eps) + 1.0)
 
 
 def split_sample_sizes(target_size: int, m: int) -> tuple[int, int]:
@@ -72,43 +67,6 @@ def split_sample_sizes(target_size: int, m: int) -> tuple[int, int]:
         raise ValueError(f"target_size must be >= 2 when m > 0, got {target_size}")
     outlier = min(m, target_size - 1, max(1, math.ceil(target_size / 10)))
     return outlier, target_size - outlier
-
-
-@dataclass(frozen=True)
-class NdCoresetConfig:
-    """Sampling budgets for the general-dimension robust builder.
-
-    Explicit sizes win; otherwise the defaults are
-    eps^-2 * min(eps^-2, d) * log-factor for the far sample and the same
-    expression with eps^-2 -> eps^-2z and an extra k^2 for the near
-    sample, both rounded up.
-    """
-
-    eps: float
-    outlier_sample_size: int | None = None
-    inlier_sample_size: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        for name in ("outlier_sample_size", "inlier_sample_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-
-    def resolved_outlier_size(self, d: int) -> int:
-        if self.outlier_sample_size is not None:
-            return self.outlier_sample_size
-        inv2 = self.eps**-2.0
-        return math.ceil(inv2 * min(inv2, d) * _log_factor(self.eps))
-
-    def resolved_inlier_size(self, d: int, k: int, z: int) -> int:
-        if self.inlier_sample_size is not None:
-            return self.inlier_sample_size
-        inv2 = self.eps**-2.0
-        scale = self.eps ** (-2.0 * z)
-        return math.ceil(scale * min(inv2, d) * _log_factor(self.eps) * k * k)
 
 
 @dataclass(frozen=True)
@@ -358,42 +316,38 @@ class NdBuild:
     inlier_rows: WeightedSet
 
 
-def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star) -> NdBuild:
-    """Robust (k, z)-clustering coreset, returning the full build record.
+def build_robust_kz_full(P, m: int, k: int, z: int, size: int, C_star, seed) -> NdBuild:
+    """Robust (k, z)-clustering coreset of at most `size` rows, with its two parts.
 
-    The far/near split happens at C_star with the canonical tie-break;
-    both parts are put in coordinate-lexicographic order before
-    sampling, so the output is invariant to input ordering whenever the
-    split itself is (distinct distances).  Besides the draw and the
-    calibration, the build costs one distance pass, one O(n) selection
-    for the split and one sort of column 0; only rows tied in column 0
-    get a full lexsort, and the order is the plain lexicographic one
-    either way.  The near part is drawn as in
-    build_inlier_coreset, then calibrated: within each cluster of C_star
-    (near points grouped by nearest center, ties to the lower index) the
-    drawn weights are raked, w_i -> w_i * exp(f_i^T lam), until the rows
-    match the cluster's point count, coordinate sum about its center and
-    z-cost at C_star.  Weights stay strictly positive.  A cluster with
-    fewer rows than the d + 2 constraints, or whose Newton solve does
-    not converge, keeps its drawn weights rescaled to its point count;
-    the near weights are finally scaled to total |P_I|.  Outlier rows
-    come first in the combined coreset.
+    split_sample_sizes(size, m) splits the budget between a uniform
+    sample of the m far points at C_star and a sensitivity sample of the
+    near rest, drawn as in build_inlier_coreset (duplicates aggregate,
+    so the near part can have fewer rows than its budget).  The near
+    weights are then calibrated: within each cluster of C_star (near
+    points grouped by nearest center, ties to the lower index) they are
+    raked, w_i -> w_i * exp(f_i^T lam), until the rows match the
+    cluster's point count, coordinate sum about its center and z-cost at
+    C_star.  Weights stay strictly positive.  A cluster with fewer rows
+    than the d + 2 constraints, or whose Newton solve does not converge,
+    keeps its drawn weights rescaled to its point count; the near weights
+    are finally scaled to total |P_I|.  Both parts are drawn in _lex_rows
+    order, so the output does not depend on the input order whenever the
+    split does not (distinct distances).  Outlier rows come first in the
+    combined coreset.
     """
+    far_size, near_size = split_sample_sizes(size, m)
     points, C, far, nearest, dpow = _split_at(P, m, k, z, C_star)
     # Each part keeps the coordinate-lexicographic order of P.
     order = _lex_rows(points)
     far_in_order = far[order]
     near = order[~far_in_order]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if m > 0:
-        L_star = points[order[far_in_order]]
-        S_O = sample_outlier_coreset(L_star, cfg.resolved_outlier_size(points.shape[1]), rng)
+        S_O = sample_outlier_coreset(points[order[far_in_order]], far_size, rng)
     else:
         S_O = None
     nearest, dpow = nearest[near], dpow[near]
-    rows, weights = _sensitivity_draw(
-        dpow, cfg.resolved_inlier_size(points.shape[1], k, z), rng
-    )
+    rows, weights = _sensitivity_draw(dpow, near_size, rng)
     weights = _calibrate_near_weights(points, near, C, nearest, dpow, rows, weights)
     S_I = WeightedSet(points.take(near[rows], axis=0), weights)
     if S_O is None:
@@ -406,9 +360,9 @@ def build_robust_kz_full(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star
     return NdBuild(coreset=combined, outlier_rows=S_O, inlier_rows=S_I)
 
 
-def build_robust_kz(P, m: int, k: int, z: int, cfg: NdCoresetConfig, C_star) -> WeightedSet:
+def build_robust_kz(P, m: int, k: int, z: int, size: int, C_star, seed) -> WeightedSet:
     """Robust (k, z)-clustering coreset: far sample plus near sample."""
-    return build_robust_kz_full(P, m, k, z, cfg, C_star).coreset
+    return build_robust_kz_full(P, m, k, z, size, C_star, seed).coreset
 
 
 def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:

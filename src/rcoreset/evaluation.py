@@ -14,6 +14,7 @@ data, scoring both center sets on the full dataset.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from rcoreset.core import (
     robust_cost_weighted_many,
 )
 from rcoreset.coreset1d import Bucket
-from rcoreset.coreset_nd import NdCoresetConfig, build_robust_kz, split_sample_sizes
+from rcoreset.coreset_nd import build_robust_kz
 from rcoreset.solver import lloyd_with_outliers
 
 __all__ = [
@@ -194,11 +195,11 @@ class SweepResult:
         """One line per (builder, size, trial) measurement."""
         out = io.StringIO()
         out.write("builder,size,trial,error,build_time,coreset_rows,seed\n")
-        for row in self.rows:
-            out.write(
-                f"{row.builder},{row.size},{row.trial},{row.error:.17g},"
-                f"{row.build_time:.6g},{row.coreset_rows},{self.seed}\n"
-            )
+        csv.writer(out, lineterminator="\n").writerows(
+            (row.builder, row.size, row.trial, f"{row.error:.17g}",
+             f"{row.build_time:.6g}", row.coreset_rows, str(self.seed))
+            for row in self.rows
+        )
         return out.getvalue()
 
     def summary_json(self) -> str:
@@ -227,11 +228,7 @@ def default_builders(C_star: CenterSet) -> dict[str, BuilderFn]:
     """
 
     def ours(P, m, k, z, size, seed):
-        s_o, s_i = split_sample_sizes(size, m)
-        cfg = NdCoresetConfig(
-            eps=0.1, outlier_sample_size=max(1, s_o), inlier_sample_size=s_i, seed=seed
-        )
-        return build_robust_kz(P, m, k, z, cfg, C_star)
+        return build_robust_kz(P, m, k, z, size, C_star, seed)
 
     def hjlw23(P, m, k, z, size, seed):
         return build_hjlw23(P, m, k, z, size, C_star, seed)
@@ -461,12 +458,11 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
         "builder,coreset_rows,build_time,solve_time_on_coreset,"
         "solve_time_on_full,cost_P,cost_S,seed\n"
     )
-    for r in reports:
-        cost_p = "" if r.cost_P is None else f"{r.cost_P:.17g}"
-        cost_s = "" if r.cost_S is None else f"{r.cost_S:.17g}"
-        out.write(
-            f"{r.builder},{r.coreset_rows},{r.build_time:.6g},"
-            f"{r.solve_time_on_coreset:.6g},{r.solve_time_on_full:.6g},"
-            f"{cost_p},{cost_s},{r.seed}\n"
-        )
+    csv.writer(out, lineterminator="\n").writerows(
+        (r.builder, r.coreset_rows, f"{r.build_time:.6g}",
+         f"{r.solve_time_on_coreset:.6g}", f"{r.solve_time_on_full:.6g}",
+         "" if r.cost_P is None else f"{r.cost_P:.17g}",
+         "" if r.cost_S is None else f"{r.cost_S:.17g}", str(r.seed))
+        for r in reports
+    )
     return out.getvalue()

@@ -33,14 +33,18 @@ _OBSTACLE_CAP = 1e300
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Parameters of one generated instance."""
+    """Parameters of one generated instance.
+
+    d and k are read only by gauss (the other families are 1-d with one
+    center), and eps only by lb1d, which takes 0.1 when it is None.
+    """
 
     family: str
     n: int
     m: int = 0
     d: int = 1
     k: int = 1
-    eps: float = 0.1
+    eps: float | None = None
     seed: int = 0
     contamination_fraction: float = 0.0
 
@@ -53,6 +57,13 @@ class InstanceSpec:
             raise ValueError(f"need d >= 1, got d={self.d}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
+        if self.family != "gauss" and (self.d, self.k) != (1, 1):
+            raise ValueError(
+                f"{self.family} is 1-d with one center and does not read d or k, "
+                f"got d={self.d}, k={self.k}"
+            )
+        if self.family != "lb1d" and self.eps is not None:
+            raise ValueError(f"{self.family} does not read eps; only lb1d does")
         if not 0.0 <= self.contamination_fraction < 1.0:
             raise ValueError(
                 f"contamination_fraction must lie in [0, 1), got {self.contamination_fraction}"
@@ -202,7 +213,9 @@ def contaminate_cauchy(P, fraction: float, seed=0) -> np.ndarray:
 
 # Each family's generator; its keys are the values the CLI's --family takes.
 _GENERATORS = {
-    "lb1d": lambda s: gen_lower_bound_1d(s.n, s.m, s.eps).points.reshape(-1, 1),
+    "lb1d": lambda s: gen_lower_bound_1d(
+        s.n, s.m, 0.1 if s.eps is None else s.eps
+    ).points.reshape(-1, 1),
     "obstacle": lambda s: gen_obstacle(s.n, s.m).reshape(-1, 1),
     "ratio": lambda s: gen_ratio_lb(s.n, s.m).reshape(-1, 1),
     "gauss": lambda s: gen_gaussian_clusters(s.n, s.d, s.k, s.m, seed=s.seed)[0],

@@ -32,7 +32,7 @@ from rcoreset import (
     robust_cost_weighted_many,
 )
 from rcoreset.coreset1d import build_robust_1d, build_robust_1d_full
-from rcoreset.coreset_nd import NdCoresetConfig, build_robust_kz
+from rcoreset.coreset_nd import build_robust_kz
 from rcoreset.evaluation import (
     ball_range_check,
     default_builders,
@@ -528,10 +528,9 @@ def test_criterion_12_build_time_scales_near_linearly():
     P2, _ = gen_gaussian_clusters(200_000, 10, 1, 2000, seed=9001)
     C1 = lloyd_with_outliers(P1, 1, 1000, 1, max_iters=20, seed=1).centers
     C2 = lloyd_with_outliers(P2, 1, 2000, 1, max_iters=20, seed=1).centers
-    cfg = NdCoresetConfig(eps=0.1, outlier_sample_size=100, inlier_sample_size=900, seed=5)
-    build_robust_kz(P1[:10_000], 100, 1, 1, cfg, C1)  # warm-up
-    t1 = best_of(lambda: build_robust_kz(P1, 1000, 1, 1, cfg, C1))
-    t2 = best_of(lambda: build_robust_kz(P2, 2000, 1, 1, cfg, C2))
+    build_robust_kz(P1[:10_000], 100, 1, 1, 1000, C1, 5)  # warm-up
+    t1 = best_of(lambda: build_robust_kz(P1, 1000, 1, 1, 1000, C1, 5))
+    t2 = best_of(lambda: build_robust_kz(P2, 2000, 1, 1, 1000, C2, 5))
     assert t2 <= 2.5 * t1, (
         f"d=10 build: {t1:.3f} s -> {t2:.3f} s, factor {t2 / t1:.2f} exceeds 2.5"
     )

@@ -18,7 +18,6 @@ from rcoreset.core import (
     robust_cost_weighted_many,
 )
 from rcoreset.coreset_nd import (
-    NdCoresetConfig,
     build_robust_kz,
     sample_outlier_coreset,
     split_sample_sizes,
@@ -206,14 +205,6 @@ def _max_rel_err(S, centers, z: int, m: int, cost_P: np.ndarray) -> float:
     return float(np.max(np.abs(cost_S - cost_P) / cost_P))
 
 
-def _build_ours(P, m: int, k: int, z: int, size: int, C_star, seed):
-    s_o, s_i = split_sample_sizes(size, m)
-    cfg = NdCoresetConfig(
-        eps=0.1, outlier_sample_size=s_o, inlier_sample_size=s_i, seed=seed
-    )
-    return build_robust_kz(P, m, k, z, cfg, C_star)
-
-
 class TestComparativeTrends:
     @pytest.mark.parametrize("k", [1, 5])
     def test_equal_size_dominance_over_hllw25(self, k: int) -> None:
@@ -227,7 +218,7 @@ class TestComparativeTrends:
         for seed in range(10):
             P, C_star, centers = _trend_setup(seed, n, d, k, z, m, num_centers=200)
             cost_P = robust_cost_many(P, centers, z, m)
-            ours = _build_ours(P, m, k, z, size, C_star, seed=(seed, 1))
+            ours = build_robust_kz(P, m, k, z, size, C_star, seed=(seed, 1))
             base = build_hllw25(P, m, k, z, size, C_star, seed=(seed, 2))
             wins += _max_rel_err(ours, centers, z, m, cost_P) <= _max_rel_err(
                 base, centers, z, m, cost_P
@@ -243,7 +234,7 @@ class TestComparativeTrends:
             cost_P = robust_cost_many(P, centers, z, m)
             structured = min(
                 _max_rel_err(
-                    _build_ours(P, m, k, z, size, C_star, seed=(seed, 1)),
+                    build_robust_kz(P, m, k, z, size, C_star, seed=(seed, 1)),
                     centers, z, m, cost_P,
                 ),
                 _max_rel_err(

@@ -1,4 +1,4 @@
-"""The traced benchmark run wraps functions by name; every name must resolve."""
+"""Callers and the traced benchmark run reach functions by name; every name must resolve."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rcoreset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,6 +25,23 @@ def _tracing():
 
 def _targets() -> list[tuple[str, str]]:
     return [(mod, fn) for mod, fn, *_ in _tracing().TARGETS]
+
+
+_MODULES = ["baselines", "cli", "core", "coreset1d", "coreset_nd", "evaluation", "instances",
+            "solver"]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_all_resolves(module: str) -> None:
+    mod = importlib.import_module(f"rcoreset.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"rcoreset.{module}.__all__ names {missing}"
+
+
+def test_package_all_resolves() -> None:
+    missing = [name for name in rcoreset.__all__ if not hasattr(rcoreset, name)]
+    assert not missing, f"rcoreset.__all__ names {missing}"
+    assert {p.stem for p in Path(rcoreset.__file__).parent.glob("[!_]*.py")} == set(_MODULES)
 
 
 @pytest.mark.parametrize("module, function", _targets())
@@ -51,4 +70,30 @@ def test_line_build_calls_its_layers_through_the_rebound_names() -> None:
         "coreset1d.split_block",
         "coreset1d.boundary_split",
         "solver.robust_median_1d",
+    }
+
+
+def test_nd_registry_calls_its_builders_through_the_rebound_names() -> None:
+    # nd-sweep's per-builder figures come from these spans; a registry
+    # holding the function objects it saw at import would record none.
+    tracing = _tracing()
+    for module in {mod for mod, *_ in tracing.TARGETS}:
+        importlib.import_module(f"rcoreset.{module}")
+    evaluation = importlib.import_module("rcoreset.evaluation")
+    rng = np.random.default_rng(6)
+    P = np.concatenate([rng.normal(size=(600, 3)), rng.normal(size=(30, 3)) * 40.0])
+    C = evaluation.CenterSet(np.zeros((1, 3)), z=2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        builders = evaluation.default_builders(C)
+        for name in ("ours", "hllw25", "hjlw23", "uniform"):
+            builders[name](P, 30, 1, 2, 100, 0)
+    finally:
+        tracer.uninstall()
+    assert {s.name for s in tracer.spans} >= {
+        "coreset_nd.build_robust_kz_full",
+        "baselines.build_hllw25",
+        "baselines.build_hjlw23",
+        "baselines.build_uniform",
     }

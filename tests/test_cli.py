@@ -371,6 +371,57 @@ class TestBuildCommand:
                        "--seed", "0")
         assert code == EXIT_INVALID
 
+    def test_oursnd_needs_size(self, gauss_csv, tmp_path, capsys):
+        code = run_cli("build", "--input", gauss_csv,
+                       "--output", str(tmp_path / "c.csv"),
+                       "--builder", "oursnd", "--m", "30", "--k", "2", "--z", "2",
+                       "--seed", "0")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().out.endswith("invalid input: oursnd needs --size\n")
+
+
+class TestFlagsTheChoiceDoesNotRead:
+    @pytest.mark.parametrize("command", ["build", "eval"])
+    @pytest.mark.parametrize("builder, flag", [
+        ("oursnd", ["--eps", "0.2"]),
+        ("hllw25", ["--allow-small-n"]),
+        ("ours1d", ["--size", "30"]),
+    ])
+    def test_builder_flag_exits_2_and_is_named(
+        self, command, builder, flag, gauss_csv, tmp_path, capsys
+    ):
+        out = ["--output", str(tmp_path / "c.csv")] if command == "build" else []
+        wanted = ["--eps", "0.2"] if builder == "ours1d" else ["--size", "30"]
+        code = run_cli(command, "--input", gauss_csv, *out, "--builder", builder,
+                       "--m", "30", *wanted, *flag, "--seed", "0")
+        assert code == EXIT_INVALID
+        assert f"{builder} does not read {flag[0]}" in capsys.readouterr().out
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_obstacle_with_d_k_eps_and_uniform_with_eps_exit_2(self, gauss_csv, tmp_path, capsys):
+        ob = tmp_path / "ob.csv"
+        assert run_cli("generate", "--family", "obstacle", "--n", "400", "--m", "20",
+                       "--d", "5", "--k", "3", "--eps", "0.3", "--seed", "1",
+                       "--output", str(ob)) == EXIT_INVALID
+        assert not ob.exists()
+        assert run_cli("build", "--input", gauss_csv, "--output", str(tmp_path / "c.csv"),
+                       "--builder", "uniform", "--size", "30", "--eps", "0.2",
+                       "--m", "30", "--seed", "0") == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "obstacle is 1-d with one center and does not read d or k" in out
+        assert "uniform does not read --eps" in out
+
+    @pytest.mark.parametrize("family, flags, named", [
+        ("gauss", ["--eps", "0.3"], "gauss does not read eps"),
+        ("ratio", ["--k", "2"], "ratio is 1-d with one center"),
+        ("lb1d", ["--d", "2"], "lb1d is 1-d with one center"),
+    ])
+    def test_family_flag_exits_2_and_is_named(self, family, flags, named, tmp_path, capsys):
+        code = run_cli("generate", "--family", family, "--n", "400", "--m", "100",
+                       *flags, "--seed", "0", "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_INVALID
+        assert named in capsys.readouterr().out
+
 
 class TestEvalCommand:
     def test_reports_one_row_per_trial(self, gauss_csv, tmp_path, capsys):

@@ -20,7 +20,6 @@ from rcoreset.core import (
     robust_cost_weighted_many,
 )
 from rcoreset.coreset_nd import (
-    NdCoresetConfig,
     _lex_rows,
     build_inlier_coreset,
     build_robust_kz,
@@ -29,31 +28,6 @@ from rcoreset.coreset_nd import (
     evaluate_conditions,
     sample_outlier_coreset,
 )
-
-
-class TestNdCoresetConfig:
-    def test_default_sizes(self) -> None:
-        cfg = NdCoresetConfig(eps=0.1)
-        # eps^-2 = 100, min(100, 5) = 5, log factor = ceil(log2(10)+1) = 5
-        assert cfg.resolved_outlier_size(5) == 2500
-        assert cfg.resolved_inlier_size(5, 1, 1) == 2500
-
-    def test_inlier_scaling_with_k_and_z(self) -> None:
-        cfg = NdCoresetConfig(eps=0.5)
-        # eps^-2 = 4, log factor = 2; z=2 lifts the leading term to eps^-4 = 16
-        assert cfg.resolved_outlier_size(10) == 32
-        assert cfg.resolved_inlier_size(10, 2, 2) == 16 * 4 * 2 * 4
-
-    def test_explicit_sizes_win(self) -> None:
-        cfg = NdCoresetConfig(eps=0.1, outlier_sample_size=7, inlier_sample_size=9)
-        assert cfg.resolved_outlier_size(50) == 7
-        assert cfg.resolved_inlier_size(50, 3, 2) == 9
-
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError, match="eps"):
-            NdCoresetConfig(eps=0.0)
-        with pytest.raises(ValueError, match="outlier_sample_size"):
-            NdCoresetConfig(eps=0.1, outlier_sample_size=0)
 
 
 class TestSampleOutlierCoreset:
@@ -215,21 +189,18 @@ class TestBuildRobustNd:
             m = int(rng.integers(0, n // 4))
             d = int(rng.integers(1, 5))
             P = rng.normal(0.0, 3.0, (n, d))
-            cfg = NdCoresetConfig(eps=0.3, outlier_sample_size=11, inlier_sample_size=37, seed=1)
-            S = build_robust_kz(P, m, 1, 1, cfg, np.zeros((1, d)))
+            S = build_robust_kz(P, m, 1, 1, min(11, m) + 37, np.zeros((1, d)), 1)
             assert S.total_weight == pytest.approx(float(n), rel=1e-9)
 
     def test_zero_outliers_reduces_to_inlier_sampler(self) -> None:
         rng = np.random.default_rng(9)
         P = rng.normal(0.0, 1.0, (100, 3))
-        cfg = NdCoresetConfig(eps=0.2, inlier_sample_size=25, seed=7)
-        full = build_robust_kz_full(P, 0, 1, 1, cfg, np.zeros((1, 3)))
+        full = build_robust_kz_full(P, 0, 1, 1, 25, np.zeros((1, 3)), 7)
         assert full.outlier_rows is None
         assert full.coreset is full.inlier_rows
 
     def test_deterministic_and_order_independent(self) -> None:
         rng = np.random.default_rng(11)
-        cfg = NdCoresetConfig(eps=0.3, outlier_sample_size=8, inlier_sample_size=20, seed=13)
         c = np.zeros((1, 3))
         # Integer grid: many distinct points share a squared distance, and
         # m = |{dist^2 > 25}| puts the cut between the values 25 and 26.
@@ -241,15 +212,15 @@ class TestBuildRobustNd:
             (grid[rng.permutation(len(grid))], int(np.count_nonzero(d2 > 25)), 2),
         ]
         for P, m, z in inputs:
-            full = build_robust_kz_full(P, m, 1, z, cfg, c)
+            full = build_robust_kz_full(P, m, 1, z, 28, c, 13)
             inl, out = outlier_split(P, CenterSet(c, z=z), m)
             # Each part of the coreset is drawn from its part of the split.
             for part, idx in ((full.outlier_rows, out), (full.inlier_rows, inl)):
                 rows = {tuple(p) for p in P[idx]}
                 assert all(tuple(p) in rows for p in part.points)
             S1 = full.coreset
-            S2 = build_robust_kz(P, m, 1, z, cfg, c)
-            S3 = build_robust_kz(P[rng.permutation(len(P))], m, 1, z, cfg, c)
+            S2 = build_robust_kz(P, m, 1, z, 28, c, 13)
+            S3 = build_robust_kz(P[rng.permutation(len(P))], m, 1, z, 28, c, 13)
             for other in (S2, S3):
                 np.testing.assert_array_equal(S1.points, other.points)
                 np.testing.assert_array_equal(S1.weights, other.weights)
@@ -259,7 +230,7 @@ class TestBuildRobustNd:
         n, d, m, eps = 10_000, 5, 200, 0.1
         P = gaussian_uniform_instance(rng, n, d, m)
         c_star = np.mean(P[: n - m], axis=0).reshape(1, d)
-        S = build_robust_kz(P, m, 1, 1, NdCoresetConfig(eps=eps, seed=3), c_star)
+        S = build_robust_kz(P, m, 1, 1, 2700, c_star, 3)
         centers = P[rng.choice(n, 500, replace=False)].reshape(-1, 1, d)
         exact = robust_cost_many(P, centers, 1, m)
         approx = robust_cost_weighted_many(S, centers, 1, m)
@@ -267,9 +238,15 @@ class TestBuildRobustNd:
         assert worst <= 2 * eps, f"worst relative error {worst} > {2 * eps}"
 
     def test_invalid_m_rejected(self) -> None:
-        cfg = NdCoresetConfig(eps=0.5)
         with pytest.raises(ValueError, match="m"):
-            build_robust_kz(np.zeros((5, 2)), 5, 1, 1, cfg, np.zeros((1, 2)))
+            build_robust_kz(np.zeros((5, 2)), 5, 1, 1, 21, np.zeros((1, 2)), 0)
+
+    def test_size_checked_before_the_split(self) -> None:
+        # Three centers for k=1 would fail the split; the budget fails first.
+        with pytest.raises(ValueError, match="target_size must be >= 2"):
+            build_robust_kz(np.zeros((5, 2)), 1, 1, 1, 1, np.zeros((3, 2)), 0)
+        with pytest.raises(ValueError, match="target_size must be >= 1"):
+            build_robust_kz(np.zeros((5, 2)), 0, 1, 1, 0, np.zeros((3, 2)), 0)
 
 
 class TestNearCalibration:
@@ -302,11 +279,8 @@ class TestNearCalibration:
                 + [rng.uniform(-80.0, 80.0, (m, d))]
             )
             C = CenterSet(centers, z=z)
-            cfg = NdCoresetConfig(
-                eps=0.2, outlier_sample_size=5, inlier_sample_size=150 * k,
-                seed=int(rng.integers(2**31)),
-            )
-            build = build_robust_kz_full(P, m, k, z, cfg, C)
+            seed = int(rng.integers(2**31))
+            build = build_robust_kz_full(P, m, k, z, 5 + 150 * k, C, seed)
             S_I = build.inlier_rows
             assert np.all(S_I.weights > 0)
             P_I = P[outlier_split(P, C, m)[0]]
@@ -324,8 +298,7 @@ class TestNearCalibration:
         lone = np.array([[100.0, 5.0]])
         P = np.concatenate([big, lone])
         C = CenterSet([[0.0, 0.0], [100.0, 0.0]], z=1)
-        cfg = NdCoresetConfig(eps=0.2, inlier_sample_size=100, seed=3)
-        build = build_robust_kz_full(P, 0, 2, 1, cfg, C)
+        build = build_robust_kz_full(P, 0, 2, 1, 100, C, 3)
         S = build.coreset
         lone_rows = np.flatnonzero(S.points[:, 0] > 50.0)
         assert len(lone_rows) == 1  # the cluster drew exactly one row
@@ -375,8 +348,7 @@ class TestStructuralGuarantees:
         for trial in range(6):
             P, n, m, d = self.hard_instance(rng, trial)
             c_star = np.median(P, axis=0).reshape(1, d)
-            cfg = NdCoresetConfig(eps=eps, seed=trial)
-            build = build_robust_kz_full(P, m, 1, 1, cfg, c_star)
+            build = build_robust_kz_full(P, m, 1, 1, m + 500 * d, c_star, trial)
             S, n_o = build.coreset, len(build.outlier_rows)
             far_idx = outlier_split(P, CenterSet(c_star, z=1), m)[1]
             far_rows = {tuple(p) for p in P[far_idx]}

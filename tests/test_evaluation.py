@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -200,6 +202,23 @@ class TestSweep:
         for (name, size), value in means.items():
             assert math.isclose(summary["mean_error"][f"{name}@{size}"], value,
                                 rel_tol=1e-12)
+
+    def test_csv_quotes_a_tuple_seed(self):
+        res = sweep_size_error(self.P, 50, 2, 2, [100], self.builders,
+                               trials=2, seed=(4, 2), num_centers=20)
+        rows = list(csv.reader(io.StringIO(res.to_csv())))
+        assert [len(row) for row in rows] == [7] * (1 + len(res.rows))
+        assert {row[6] for row in rows[1:]} == {"(4, 2)"}
+
+    def test_csv_with_an_int_seed_is_unquoted(self):
+        res = sweep_size_error(self.P, 50, 2, 2, [100], self.builders,
+                               trials=1, seed=9, num_centers=20)
+        want = "builder,size,trial,error,build_time,coreset_rows,seed\n" + "".join(
+            f"{r.builder},{r.size},{r.trial},{r.error:.17g},{r.build_time:.6g},"
+            f"{r.coreset_rows},9\n"
+            for r in res.rows
+        )
+        assert res.to_csv() == want
 
     def test_centers_are_shared_within_a_trial(self):
         twins = {"a": self.builders["uniform"], "b": self.builders["uniform"]}
@@ -511,6 +530,16 @@ class TestSpeedup:
         assert lines[0].startswith("builder,coreset_rows,build_time")
         assert len(lines) == 1 + len(self.reports)
         assert float(lines[1].split(",")[5]) == self.reports[0].cost_P
+
+    def test_csv_quotes_a_tuple_seed(self):
+        reps = [EvalReport(builder="x", coreset_rows=3, seed=(4, 2), cost_P=1.5)]
+        text = reports_to_csv(reps)
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [8, 8]
+        assert rows[1][7] == "(4, 2)"
+        assert reports_to_csv([EvalReport(builder="x", coreset_rows=3, seed=5)]).endswith(
+            "\nx,3,0,0,0,,,5\n"
+        )
 
     def test_csv_leaves_missing_costs_empty(self):
         rep = EvalReport(builder="x", coreset_rows=3)

@@ -41,6 +41,24 @@ class TestInstanceSpec:
         with pytest.raises(ValueError, match="contamination"):
             InstanceSpec(family="gauss", n=10, contamination_fraction=1.0)
 
+    @pytest.mark.parametrize("family", ["lb1d", "obstacle", "ratio"])
+    def test_line_families_reject_d_and_k(self, family) -> None:
+        assert InstanceSpec(family=family, n=100, m=10, d=1, k=1).d == 1
+        for extra in (dict(d=2), dict(k=3)):
+            with pytest.raises(ValueError, match=f"{family} is 1-d with one center"):
+                InstanceSpec(family=family, n=100, m=10, **extra)
+
+    @pytest.mark.parametrize("family", ["obstacle", "ratio", "gauss"])
+    def test_only_lb1d_reads_eps(self, family) -> None:
+        assert InstanceSpec(family=family, n=100, m=10).eps is None
+        with pytest.raises(ValueError, match=f"{family} does not read eps"):
+            InstanceSpec(family=family, n=100, m=10, eps=0.1)
+
+    def test_lb1d_reads_eps_0_1_when_none(self) -> None:
+        got = generate_instance(InstanceSpec(family="lb1d", n=1000, m=250))
+        want = gen_lower_bound_1d(1000, 250, 0.1).points.reshape(-1, 1)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestGenLowerBound1d:
     def test_reference_layout(self) -> None:
