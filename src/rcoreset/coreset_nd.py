@@ -267,12 +267,15 @@ def _calibrate_near_weights(
     are rescaled by exp(f^T lam) so that their count, coordinate sum
     relative to the center and z-cost at C equal those of the cluster's
     points in P_I.  Each cluster's points are gathered from points on
-    their own, so no full copy of P_I is held here.  Features are
-    standardized by the cluster's per-coordinate RMS deviation and mean
-    z-cost.  A cluster with fewer rows than constraints, or whose Newton
-    iteration fails, keeps its drawn weights rescaled to its point count.
-    The result is scaled to total |P_I|, which also covers clusters that
-    drew no row.
+    their own, in the order of near, so no full copy of P_I is held
+    here.  Their coordinate and squared-deviation sums are einsum column
+    reductions, which for d >= 2 add the rows one at a time in that order
+    (on the line numpy's einsum adds in interleaved lanes).
+    Features are standardized by the cluster's per-coordinate RMS
+    deviation and mean z-cost.  A cluster with fewer rows than
+    constraints, or whose Newton iteration fails, keeps its drawn weights
+    rescaled to its point count.  The result is scaled to total |P_I|,
+    which also covers clusters that drew no row.
     """
     out = weights.copy()
     row_cluster = nearest[rows]
@@ -281,13 +284,12 @@ def _calibrate_near_weights(
         in_rows = np.flatnonzero(row_cluster == j)
         if len(in_rows) == 0:
             continue
-        members = nearest == j
-        count = int(np.count_nonzero(members))
-        # One n_j x d buffer: the deviations are summed, then squared in place.
+        members = np.flatnonzero(nearest == j)
+        count = len(members)
         diffs = points.take(near[members], axis=0)
         diffs -= C.centers[j]
-        coord_sum = diffs.sum(axis=0)
-        scale = np.sqrt(np.mean(np.square(diffs, out=diffs), axis=0))
+        coord_sum = np.einsum("ij->j", diffs)
+        scale = np.sqrt(np.einsum("ij,ij->j", diffs, diffs) / count)
         scale[scale == 0.0] = 1.0
         cost = dpow[members]
         mu = float(np.mean(cost)) or 1.0

@@ -23,6 +23,7 @@ from rcoreset import (
 import rcoreset.core as core
 from rcoreset.core import (
     _BLOCK_FLOATS,
+    _EXACT_BLOCK_FLOATS,
     _abs_dev_sum,
     _drop_farthest,
     _fill_sorted,
@@ -723,32 +724,35 @@ class TestBatchChunks:
 
 
 class TestNearestDistPow:
-    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("d", [1, 3, 10, 50])
     def test_blocks_match_one_whole_array_pass(self, d):
-        # The kernel works through blocks of _BLOCK_FLOATS // d rows; the
-        # reference forms every difference of one center at once.  A grid
-        # of inexact multiples of 1.1 with a repeated center ties often
+        # The kernel works through blocks of _EXACT_BLOCK_FLOATS // d rows;
+        # the reference forms every difference of one center at once.  A
+        # grid of inexact multiples of 1.1 with a repeated center ties often
         # (ties go to the lower index) and rounds in every sum.
         rng = np.random.default_rng(d)
-        n = 2 * (_BLOCK_FLOATS // d) + 17  # two full blocks and a partial one
+        n = 2 * (_EXACT_BLOCK_FLOATS // d) + 17  # two full blocks and a partial one
         points = rng.integers(-3, 4, size=(n, d)) * 1.1
-        centers = rng.integers(-3, 4, size=(4, d)) * 1.1
-        centers[2] = centers[0]
-        for z in (1, 2):
-            want_nearest = np.zeros(n, dtype=np.intp)
-            best = None
-            for j, c in enumerate(centers):
-                diff = points - c
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                if best is None:
-                    best = d2
-                else:
-                    closer = d2 < best
-                    want_nearest[closer] = j
-                    best[closer] = d2[closer]
-            nearest, dpow = _nearest_dist_pow(points, centers, z)
-            np.testing.assert_array_equal(nearest, want_nearest)
-            np.testing.assert_array_equal(dpow, np.sqrt(best) if z == 1 else best)
+        for k in (1, 4, 5):
+            centers = rng.integers(-3, 4, size=(k, d)) * 1.1
+            if k > 2:
+                centers[2] = centers[0]
+            for z in (1, 2):
+                want_nearest = np.zeros(n, dtype=np.intp)
+                best = None
+                for j, c in enumerate(centers):
+                    diff = points - c
+                    d2 = np.einsum("ij,ij->i", diff, diff)
+                    if best is None:
+                        best = d2
+                    else:
+                        closer = d2 < best
+                        want_nearest[closer] = j
+                        best[closer] = d2[closer]
+                nearest, dpow = _nearest_dist_pow(points, centers, z)
+                np.testing.assert_array_equal(nearest, want_nearest)
+                want = np.sqrt(best) if z == 1 else best
+                np.testing.assert_array_equal(dpow.view(np.int64), want.view(np.int64))
 
     def test_cluster_rows_match_a_pass_at_their_own_center(self):
         # Lloyd's z = 1 recenter test reads a cluster's distances to its
@@ -757,7 +761,7 @@ class TestNearestDistPow:
         rng = np.random.default_rng(12)
         for _ in range(40):
             d = int(rng.integers(1, 11))
-            n = int(rng.integers(1, 2 * (_BLOCK_FLOATS // d) + 50))
+            n = int(rng.integers(1, 2 * (_EXACT_BLOCK_FLOATS // d) + 50))
             k = int(rng.integers(1, min(n, 5) + 1))
             points = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
             points += rng.normal(scale=100.0, size=d)

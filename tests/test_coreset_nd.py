@@ -207,20 +207,29 @@ class TestBuildRobustNd:
         grid = np.stack(np.meshgrid(*[np.arange(-4.0, 5.0)] * 3), axis=-1).reshape(-1, 3)
         d2 = np.sum(grid**2, axis=1)
         assert np.count_nonzero(d2 == 25) > 1 and np.count_nonzero(d2 == 26) > 1
+        # Three clusters: every cluster rakes its own rows; and the line.
+        centers = np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0], [0.0, 12.0, 0.0]])
+        clustered = np.concatenate(
+            [rng.normal(mu, 1.0, (100, 3)) for mu in centers] + [rng.uniform(-40, 40, (10, 3))]
+        )
+        line = np.concatenate([rng.normal(0.0, 3.0, (200, 1)), rng.uniform(20, 60, (8, 1))])
         inputs = [
-            (rng.normal(0.0, 2.0, (150, 3)), 15, 1),
-            (grid[rng.permutation(len(grid))], int(np.count_nonzero(d2 > 25)), 2),
+            (rng.normal(0.0, 2.0, (150, 3)), 15, 1, c),
+            (grid[rng.permutation(len(grid))], int(np.count_nonzero(d2 > 25)), 2, c),
+            (clustered[rng.permutation(len(clustered))], 10, 2, centers),
+            (line[rng.permutation(len(line))], 8, 1, np.zeros((1, 1))),
         ]
-        for P, m, z in inputs:
-            full = build_robust_kz_full(P, m, 1, z, 28, c, 13)
-            inl, out = outlier_split(P, CenterSet(c, z=z), m)
+        for P, m, z, C in inputs:
+            k = len(C)
+            full = build_robust_kz_full(P, m, k, z, 28, C, 13)
+            inl, out = outlier_split(P, CenterSet(C, z=z), m)
             # Each part of the coreset is drawn from its part of the split.
             for part, idx in ((full.outlier_rows, out), (full.inlier_rows, inl)):
                 rows = {tuple(p) for p in P[idx]}
                 assert all(tuple(p) in rows for p in part.points)
             S1 = full.coreset
-            S2 = build_robust_kz(P, m, 1, z, 28, c, 13)
-            S3 = build_robust_kz(P[rng.permutation(len(P))], m, 1, z, 28, c, 13)
+            S2 = build_robust_kz(P, m, k, z, 28, C, 13)
+            S3 = build_robust_kz(P[rng.permutation(len(P))], m, k, z, 28, C, 13)
             for other in (S2, S3):
                 np.testing.assert_array_equal(S1.points, other.points)
                 np.testing.assert_array_equal(S1.weights, other.weights)
@@ -278,19 +287,21 @@ class TestNearCalibration:
                 [rng.normal(c, rng.uniform(0.5, 2.0), (s, d)) for c, s in zip(centers, sizes)]
                 + [rng.uniform(-80.0, 80.0, (m, d))]
             )
-            C = CenterSet(centers, z=z)
             seed = int(rng.integers(2**31))
-            build = build_robust_kz_full(P, m, k, z, 5 + 150 * k, C, seed)
-            S_I = build.inlier_rows
-            assert np.all(S_I.weights > 0)
-            P_I = P[outlier_split(P, C, m)[0]]
-            want = self.cluster_totals(P_I, np.ones(len(P_I)), C)
-            got = self.cluster_totals(S_I.points, S_I.weights, C)
-            for (n_w, s_w, c_w, a_w), (n_g, s_g, c_g, _) in zip(want, got):
-                assert n_g == pytest.approx(n_w, rel=1e-9)
-                assert c_g == pytest.approx(c_w, rel=1e-9)
-                np.testing.assert_array_less(np.abs(s_g - s_w), 1e-9 * a_w)
-            assert build.coreset.total_weight == pytest.approx(len(P), rel=1e-9)
+            # Far from the origin the same data must still hit its totals.
+            for shift in (0.0, 1e6):
+                Q, C = P + shift, CenterSet(centers + shift, z=z)
+                build = build_robust_kz_full(Q, m, k, z, 5 + 150 * k, C, seed)
+                S_I = build.inlier_rows
+                assert np.all(S_I.weights > 0)
+                P_I = Q[outlier_split(Q, C, m)[0]]
+                want = self.cluster_totals(P_I, np.ones(len(P_I)), C)
+                got = self.cluster_totals(S_I.points, S_I.weights, C)
+                for (n_w, s_w, c_w, a_w), (n_g, s_g, c_g, _) in zip(want, got):
+                    assert n_g == pytest.approx(n_w, rel=1e-9)
+                    assert c_g == pytest.approx(c_w, rel=1e-9)
+                    np.testing.assert_array_less(np.abs(s_g - s_w), 1e-9 * a_w)
+                assert build.coreset.total_weight == pytest.approx(len(P), rel=1e-9)
 
     def test_cluster_with_a_single_row_falls_back_to_its_count(self) -> None:
         rng = np.random.default_rng(5)
