@@ -440,6 +440,8 @@ def _min_dist_pow_chunks(points: np.ndarray, batch: np.ndarray, z: int):
     """
     n, d = points.shape
     T = len(batch)
+    if T == 0:
+        return
     step = max(1, min(T, _CHUNK_FLOATS // max(n, 1)))
     rhs = None
     if d > 1:

@@ -16,7 +16,8 @@ top level so that distant mass stays error-capped in proportion to its
 distance.  Both share the cap denominator ``DEFAULT_DELTA_CONSTANT``, a
 module constant read at call time.
 
-Every stage only decides where buckets start: a build cuts the sorted
+Every block and bucket is an index range of the one sorted input, and
+every stage only decides where buckets start: a build cuts the sorted
 points first, then summarises every bucket as (mean, count) in one
 vectorised pass (``bucket_stats`` is that pass on one range).
 """
@@ -41,7 +42,6 @@ from rcoreset.solver import robust_median_1d
 
 __all__ = [
     "Block",
-    "BlockPartition",
     "Bucket",
     "Robust1dBuild",
     "boundary_split",
@@ -59,8 +59,6 @@ __all__ = [
 # published robust-side cap and is reused by the vanilla subroutine.
 DEFAULT_DELTA_CONSTANT = 288.0
 
-_OUTWARD_SIDES = ("L", "R")  # sides where a far region exists
-
 
 @dataclass(frozen=True)
 class Bucket:
@@ -75,13 +73,12 @@ class Bucket:
 
 @dataclass(frozen=True)
 class Block:
-    """A contiguous run of fringe points sharing one distance class.
+    """A run of fringe points sharing one distance class.
 
-    ``data`` is the side array the indices refer to (l, r inclusive);
+    It is the inclusive index range [l, r] of the sorted input;
     ``level`` is None for far blocks.
     """
 
-    data: np.ndarray
     l: int
     r: int
     side: str  # 'L' or 'LR' (left fringe), 'RL' or 'R' (right fringe)
@@ -90,21 +87,6 @@ class Block:
     @property
     def far(self) -> bool:
         return self.level is None
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Distance-class decomposition of both fringes around the anchors."""
-
-    far_left: list[Block]
-    far_right: list[Block]
-    inner: dict[tuple[str, int], Block]
-    c_L: float
-    c_R: float
-    r_max: float
-
-    def all_blocks(self) -> list[Block]:
-        return [*self.far_left, *self.far_right, *self.inner.values()]
 
 
 def _summarise(pts: np.ndarray, starts) -> tuple[WeightedSet, list[Bucket]]:
@@ -154,79 +136,53 @@ def _classify_levels(dists: np.ndarray, eps: float, scale: float, top_level: int
     return np.minimum(np.searchsorted(edges, dists, side="right"), top_level)
 
 
-def _runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal constant runs of labels as (label, start, stop_inclusive)."""
+def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal constant runs of labels as (start, stop_inclusive)."""
     if len(labels) == 0:
         return []
     breaks = np.flatnonzero(np.diff(labels)) + 1
     starts = np.concatenate(([0], breaks))
     stops = np.concatenate((breaks - 1, [len(labels) - 1]))
-    return [(int(labels[a]), int(a), int(b)) for a, b in zip(starts, stops)]
+    return [(int(a), int(b)) for a, b in zip(starts, stops)]
 
 
-def partition_blocks(P_L, P_R, c_L: float, c_R: float, r_max: float, eps: float) -> BlockPartition:
-    """Classify both fringes into far blocks and doubling distance levels.
+def partition_blocks(pts, m: int, center: float, r_max: float, eps: float) -> list[Block]:
+    """Classify both m-point fringes of pts into far blocks and distance levels.
 
-    Left fringe: points strictly below c_L are far once their distance
-    to c_L reaches r_max, otherwise they join level i with
-    2^i * eps * r_max <= dist < 2^(i+1) * eps * r_max (side 'L'); points
-    at or above c_L join the same levels by distance on side 'LR'.  The
-    right fringe mirrors this around c_R with sides 'R' and 'RL' (the
-    point exactly at c_R counts as 'RL').  Block indices are local to
-    the fringe array they came from.
+    The left fringe pts[:m] is classified around c_L = center - r_max:
+    points strictly below c_L are far once their distance to c_L reaches
+    r_max, otherwise they join level i with 2^i * eps * r_max <= dist <
+    2^(i+1) * eps * r_max (side 'L'); points at or above c_L join the
+    same levels by distance on side 'LR'.  The right fringe
+    pts[max(n - m, m):] mirrors this around c_R = center + r_max with
+    sides 'R' and 'RL' (the point exactly at c_R counts as 'RL'); it
+    shrinks when n < 2m so the fringes never overlap.  With r_max = 0 the
+    levels are empty: points at the anchor join level 0 and the others
+    the top level.  Blocks come back in index order.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    left = np.asarray(P_L, dtype=np.float64).reshape(-1)
-    right = np.asarray(P_R, dtype=np.float64).reshape(-1)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1)
+    n = len(pts)
     top = max(1, math.ceil(math.log2(1.0 / eps)))
-    far_left: list[Block] = []
-    far_right: list[Block] = []
-    inner: dict[tuple[str, int], Block] = {}
-
-    def classify_side(values: np.ndarray, anchor: float, side_out: str, side_in: str) -> None:
-        if len(values) == 0:
-            return
-        mask_out = values < anchor if side_out == "L" else values > anchor
+    blocks: list[Block] = []
+    fringes = ((0, m, center - r_max, "L", "LR"), (max(n - m, m), n, center + r_max, "R", "RL"))
+    for lo, hi, anchor, side_out, side_in in fringes:
+        values = pts[lo:hi]
+        outward = values < anchor if side_out == "L" else values > anchor
         dist = np.abs(values - anchor)
-        is_far = mask_out & (dist >= r_max)
-        labels = np.where(
-            is_far,
-            -1,
-            _classify_levels(dist, eps, r_max, top) if r_max > 0 else 0,
+        levels = (
+            _classify_levels(dist, eps, r_max, top) if r_max > 0 else np.where(dist > 0, top, 0)
         )
-        base_side = np.where(mask_out, 0, 1)  # 0 = outward side, 1 = inward side
-        if r_max == 0.0:
-            # Degenerate limit: level intervals are empty, inward points
-            # all sit at distance 0 and join level 0; outward points with
-            # positive distance fall back to the top level.
-            labels = np.where(is_far, -1, np.where(dist > 0, top, 0))
-        combined = base_side * (top + 2) + labels  # unique label per (side, class)
-        for _, start, stop in _runs(combined):
-            far = bool(labels[start] == -1)
-            side = side_out if base_side[start] == 0 else side_in
-            if far:
-                blk = Block(values, start, stop, side, None)
-                (far_left if side == "L" else far_right).append(blk)
-            else:
-                level = int(labels[start])
-                blk = Block(values, start, stop, side, level)
-                key = (side, level)
-                assert key not in inner, f"distance class {key} split across runs"
-                inner[key] = blk
-
-    classify_side(left, c_L, "L", "LR")
-    classify_side(right, c_R, "R", "RL")
-    return BlockPartition(
-        far_left=far_left,
-        far_right=far_right,
-        inner=inner,
-        c_L=float(c_L),
-        c_R=float(c_R),
-        r_max=float(r_max),
-    )
+        labels = np.where(outward & (dist >= r_max), -1, levels)  # -1 = far
+        combined = np.where(outward, 0, top + 2) + labels  # unique label per (side, class)
+        for start, stop in _runs(combined):
+            side = side_out if outward[start] else side_in
+            level = None if labels[start] == -1 else int(labels[start])
+            blocks.append(Block(lo + start, lo + stop, side, level))
+    return blocks
 
 
 def _greedy_buckets(
@@ -281,20 +237,20 @@ def _greedy_buckets(
     return out
 
 
-def split_block(block: Block, eps: float, n: int, r_max: float) -> list[int]:
+def split_block(pts: np.ndarray, block: Block, eps: float, n: int, r_max: float) -> list[int]:
     """Chop one block into greedy maximal buckets under its level's caps.
 
     Inner blocks of level i obey cum_err <= 2^i * eps^2 * n * r_max /
     DEFAULT_DELTA_CONSTANT and count <= eps*n/16 (at least 1); far blocks
     (level None) obey the count cap alone.  Returns the bucket starts,
-    indices into block.data.
+    indices into pts.
     """
     count_cap = max(1, int(math.floor(eps * n / 16.0)))
     if block.far:
         delta_cap = None
     else:
         delta_cap = (2.0**block.level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
-    return _greedy_buckets(block.data, block.l, block.r, delta_cap, count_cap, None)
+    return _greedy_buckets(pts, block.l, block.r, delta_cap, count_cap, None)
 
 
 def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]:
@@ -322,7 +278,7 @@ def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]
     side = (np.arange(lo, hi) >= med).astype(np.int64)
     combined = side * (top + 2) + labels
     out: list[int] = []
-    for _, start, stop in _runs(combined):
+    for start, stop in _runs(combined):
         cap = (2.0 ** int(labels[start])) * eps * eps * n_sub * r_bar / DEFAULT_DELTA_CONSTANT
         out.extend(_greedy_buckets(pts, lo + start, lo + stop, cap, None, cap))
     return out
@@ -363,12 +319,13 @@ def boundary_split(starts, P_sorted, m: int) -> np.ndarray:
 class Robust1dBuild:
     """Full build record: the coreset plus the buckets behind each row.
 
-    The anchors (partition, center, r_max, window) are None when m = 0.
+    Every bucket is an index range of the one sorted input, and so is
+    every fringe block the build cut it from.  The anchors (center,
+    r_max, window) are None when m = 0.
     """
 
     coreset: WeightedSet
     buckets: list[Bucket]
-    partition: BlockPartition | None = None
     center: float | None = None
     r_max: float | None = None
     window: tuple[int, int] | None = None
@@ -400,24 +357,12 @@ def build_robust_1d_full(
     left, right = solve.inlier_window
     center = float(solve.centers.centers[0, 0])
     r_max = float(max(center - pts[left], pts[right] - center))
-    # Under the override the fringes may meet (n < 2m); shrink the right
-    # fringe so the three zones stay a partition of the indices.
-    right_base = max(n - m, m)
     starts = _vanilla_buckets(pts, m, n - m, eps / 3.0)
-    part = partition_blocks(pts[:m], pts[right_base:], center - r_max, center + r_max, r_max, eps)
-    for block in part.all_blocks():
-        base = 0 if block.side in ("L", "LR") else right_base
-        starts.extend(base + s for s in split_block(block, eps, n, r_max))
+    for block in partition_blocks(pts, m, center, r_max, eps):
+        starts.extend(split_block(pts, block, eps, n, r_max))
     # The window edges lie in [0, m] or [n - m, n]: they cut fringe buckets only.
     coreset, buckets = _summarise(pts, boundary_split(starts, pts, m))
-    return Robust1dBuild(
-        coreset=coreset,
-        buckets=buckets,
-        partition=part,
-        center=center,
-        r_max=r_max,
-        window=(left, right),
-    )
+    return Robust1dBuild(coreset, buckets, center, r_max, (left, right))
 
 
 def build_robust_1d(P_sorted, m: int, eps: float, *, allow_small_n: bool = False) -> WeightedSet:

@@ -379,7 +379,7 @@ def check_assumptions(P, C_star, m: int, k: int, z: int) -> AssumptionReport:
     nearest, dmin = nearest[~far], dpow[~far]
     if z == 2:
         dmin = np.sqrt(dmin)
-    sizes = tuple(int(np.sum(nearest == i)) for i in range(k))
+    sizes = tuple(np.bincount(nearest, minlength=k).tolist())
     r_max = float(np.max(dmin))
     r_bar = float(np.mean(dmin**z)) ** (1.0 / z)
     cond1, cond2 = evaluate_conditions(min(sizes), r_max, r_bar, m, k, z)

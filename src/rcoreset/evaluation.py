@@ -369,13 +369,9 @@ def misalignment_check(
     if len(S) != len(buckets):
         raise ValueError(f"{len(buckets)} buckets but {len(S)} coreset rows")
     n = len(pts)
-    bucket_starts = np.array([b.l for b in buckets])
-    bucket_ends = np.array([b.r for b in buckets])
-    if (
-        bucket_starts[0] != 0
-        or bucket_ends[-1] != n - 1
-        or np.any(bucket_starts[1:] != bucket_ends[:-1] + 1)
-    ):
+    bucket_starts = np.array([b.l for b in buckets], dtype=np.intp)
+    bucket_ends = np.array([b.r for b in buckets], dtype=np.intp)
+    if not np.array_equal(np.r_[bucket_starts, n], np.r_[0, bucket_ends + 1]):
         raise ValueError("buckets must tile the index range [0, n)")
     weights = S.weights
     order = np.argsort(S.points[:, 0], kind="stable")

@@ -722,6 +722,15 @@ class TestBatchChunks:
         keep_one = robust_cost_many(points, batch, z, self.n - 1)
         assert np.array_equal(keep_one, np.zeros(self.T)), f"keep=1 costs {keep_one}"
 
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_empty_batch_gives_no_costs(self, d, m):
+        points = np.zeros((5, d))
+        empty = np.zeros((0, 1, d))
+        assert robust_cost_many(points, empty, 1, m).shape == (0,)
+        S = WeightedSet(points, np.ones(5))
+        assert robust_cost_weighted_many(S, empty, 1, m).shape == (0,)
+
 
 class TestNearestDistPow:
     @pytest.mark.parametrize("d", [1, 3, 10, 50])

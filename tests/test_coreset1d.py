@@ -146,64 +146,69 @@ class TestBuildVanilla1d:
             build_vanilla_1d([2.0, 1.0], 0.1)
 
 
+def classes(blocks) -> dict:
+    """(side, level) -> (l, r) of each block."""
+    return {(b.side, b.level): (b.l, b.r) for b in blocks}
+
+
 class TestPartitionBlocks:
     def test_published_examples(self) -> None:
-        part = partition_blocks([-2.5, -1.6, -1.1], [], -1.0, 1.0, 1.0, 0.25)
-        assert len(part.far_left) == 1 and not part.far_right
-        far = part.far_left[0]
-        assert (far.l, far.r, far.side, far.level) == (0, 0, "L", None)
-        assert set(part.inner) == {("L", 1), ("L", 0)}
-        b1 = part.inner[("L", 1)]
-        assert (b1.l, b1.r) == (1, 1)
-        b0 = part.inner[("L", 0)]
-        assert (b0.l, b0.r) == (2, 2)
+        blocks = partition_blocks([-2.5, -1.6, -1.1], 3, 0.0, 1.0, 0.25)
+        far = [b for b in blocks if b.far]
+        assert len(far) == 1
+        assert (far[0].l, far[0].r, far[0].side, far[0].level) == (0, 0, "L", None)
+        inner = classes(b for b in blocks if not b.far)
+        assert set(inner) == {("L", 1), ("L", 0)}
+        assert inner[("L", 1)] == (1, 1)
+        assert inner[("L", 0)] == (2, 2)
 
     def test_threshold_edges_exact(self) -> None:
         # dist == 2*eps*r_max lands in level 1; dist == r_max outward is far;
         # the anchor itself is inward level 0 on both sides.
-        left = [-2.0, -1.5, -1.0]
-        right = [1.0, 1.5, 3.0]
-        part = partition_blocks(left, right, -1.0, 1.0, 1.0, 0.25)
-        assert [(b.l, b.r) for b in part.far_left] == [(0, 0)]
-        assert [(b.l, b.r) for b in part.far_right] == [(2, 2)]
-        assert part.inner[("L", 1)].l == 1 and part.inner[("L", 1)].r == 1
-        assert part.inner[("LR", 0)].l == 2
-        assert part.inner[("RL", 0)].l == 0
-        assert part.inner[("R", 1)].l == 1 and part.inner[("R", 1)].r == 1
+        pts = [-2.0, -1.5, -1.0, 1.0, 1.5, 3.0]
+        blocks = partition_blocks(pts, 3, 0.0, 1.0, 0.25)
+        assert [(b.l, b.r) for b in blocks if b.far and b.side == "L"] == [(0, 0)]
+        assert [(b.l, b.r) for b in blocks if b.far and b.side == "R"] == [(5, 5)]
+        inner = classes(blocks)
+        assert inner[("L", 1)] == (1, 1)
+        assert inner[("LR", 0)][0] == 2
+        assert inner[("RL", 0)][0] == 3
+        assert inner[("R", 1)] == (4, 4)
 
     def test_inward_side_levels(self) -> None:
-        part = partition_blocks([], [0.5, 1.0], -1.0, 1.0, 1.0, 0.25)
-        assert part.inner[("RL", 1)].l == 0 and part.inner[("RL", 1)].r == 0
-        assert part.inner[("RL", 0)].l == 1 and part.inner[("RL", 0)].r == 1
+        # Two far points make a left fringe, so [0.5, 1.0] is the right one.
+        blocks = partition_blocks([-9.0, -8.0, 0.5, 1.0], 2, 0.0, 1.0, 0.25)
+        inner = classes(blocks)
+        assert inner[("L", None)] == (0, 1)
+        assert inner[("RL", 1)] == (2, 2)
+        assert inner[("RL", 0)] == (3, 3)
 
     def test_degenerate_zero_radius(self) -> None:
-        part = partition_blocks([-1.0, -1.0, 0.0], [0.0, 2.0], 0.0, 0.0, 0.0, 0.25)
-        assert [(b.l, b.r) for b in part.far_left] == [(0, 1)]
-        assert [(b.l, b.r) for b in part.far_right] == [(1, 1)]
-        assert part.inner[("LR", 0)].l == 2
-        assert part.inner[("RL", 0)].l == 0
+        blocks = partition_blocks([-1.0, -1.0, 0.0, 0.0, 2.0], 3, 0.0, 0.0, 0.25)
+        assert [(b.l, b.r) for b in blocks if b.far and b.side == "L"] == [(0, 1)]
+        assert [(b.l, b.r) for b in blocks if b.far and b.side == "R"] == [(4, 4)]
+        inner = classes(blocks)
+        assert inner[("LR", 0)][0] == 2
+        assert inner[("RL", 0)][0] == 3
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(0, 30))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.integers(0, 30))
     @settings(max_examples=60)
-    def test_cover_partition_and_thresholds(self, seed, nl, nr) -> None:
+    def test_cover_partition_and_thresholds(self, seed, n, m) -> None:
         rng = np.random.default_rng(seed)
+        m = min(m, n)
         c_star = float(rng.normal(0.0, 2.0))
         r_max = float(rng.uniform(0.0, 3.0))
         eps = float(rng.uniform(0.05, 0.9))
-        left = np.sort(rng.normal(c_star, 4.0, nl))
-        right = np.sort(rng.normal(c_star, 4.0, nr))
-        c_L, c_R = c_star - r_max, c_star + r_max
-        part = partition_blocks(left, right, c_L, c_R, r_max, eps)
+        pts = np.sort(rng.normal(c_star, 4.0, n))
+        blocks = partition_blocks(pts, m, c_star, r_max, eps)
         top = max(1, math.ceil(math.log2(1.0 / eps)))
         edges = (2.0 ** np.arange(1, top + 2)) * eps * r_max
-        seen_left = np.zeros(nl, dtype=int)
-        seen_right = np.zeros(nr, dtype=int)
-        for block in part.all_blocks():
+        seen = np.zeros(n, dtype=int)
+        for block in blocks:
             on_left = block.side in ("L", "LR")
-            values = left if on_left else right
-            anchor = c_L if on_left else c_R
-            (seen_left if on_left else seen_right)[block.l : block.r + 1] += 1
-            for v in values[block.l : block.r + 1]:
+            anchor = c_star - r_max if on_left else c_star + r_max
+            seen[block.l : block.r + 1] += 1
+            for v in pts[block.l : block.r + 1]:
                 d = abs(v - anchor)
                 outward = v < anchor if on_left else v > anchor
                 if block.far:
@@ -214,23 +219,33 @@ class TestPartitionBlocks:
                     if r_max > 0 and not (outward and d >= r_max):
                         want = min(int(np.searchsorted(edges, d, side="right")), top)
                         assert block.level == want, f"point {v}: level {block.level} != {want}"
-        assert np.all(seen_left == 1) and np.all(seen_right == 1)
+        # Each fringe's blocks tile its index range in order, one block per class.
+        for lo, hi, fringe in ((0, m, ("L", "LR")), (max(n - m, m), n, ("R", "RL"))):
+            on = [b for b in blocks if b.side in fringe]
+            ends = [lo] + [b.r + 1 for b in on]
+            assert [b.l for b in on] == ends[:-1] and ends[-1] == hi
+        assert len(classes(blocks)) == len(blocks)
+        assert [b.l for b in blocks] == sorted(b.l for b in blocks)
+        fringe = np.zeros(n, dtype=int)
+        fringe[:m] = 1
+        fringe[max(n - m, m) :] = 1
+        assert np.array_equal(seen, fringe)
 
 
 class TestSplitBlock:
     def test_identical_points_one_bucket(self) -> None:
-        block = Block(np.full(2, 3.0), 0, 1, "LR", 0)
-        assert spans(split_block(block, 0.5, 64, 1.0), 1) == [(0, 1)]
+        block = Block(0, 1, "LR", 0)
+        assert spans(split_block(np.full(2, 3.0), block, 0.5, 64, 1.0), 1) == [(0, 1)]
 
     def test_identical_points_count_cap_forces_two(self) -> None:
-        block = Block(np.full(4, 3.0), 0, 3, "LR", 0)  # eps*n/8 points with cap eps*n/16 = 2
-        assert spans(split_block(block, 0.5, 64, 1.0), 3) == [(0, 1), (2, 3)]
+        block = Block(0, 3, "LR", 0)  # eps*n/8 points with cap eps*n/16 = 2
+        assert spans(split_block(np.full(4, 3.0), block, 0.5, 64, 1.0), 3) == [(0, 1), (2, 3)]
 
     def test_doubling_gaps_greedy_maximal(self) -> None:
         data = np.cumsum(2.0 ** np.arange(12))
         n, eps, r_max, level = 2304, 0.5, 1.0, 0
-        block = Block(data, 0, len(data) - 1, "LR", level)
-        ranges = spans(split_block(block, eps, n, r_max), len(data) - 1)
+        block = Block(0, len(data) - 1, "LR", level)
+        ranges = spans(split_block(data, block, eps, n, r_max), len(data) - 1)
         assert len(ranges) > 1
         delta_cap = (2.0**level) * eps * eps * n * r_max / 288.0
         count_cap = math.floor(eps * n / 16.0)
@@ -244,17 +259,18 @@ class TestSplitBlock:
             )
 
     def test_far_block_ignores_spread(self) -> None:
-        block = Block(np.array([0.0, 100.0, 10_000.0]), 0, 2, "L", None)
-        assert spans(split_block(block, 0.5, 2304, 1.0), 2) == [(0, 2)]
+        block = Block(0, 2, "L", None)
+        pts = np.array([0.0, 100.0, 10_000.0])
+        assert spans(split_block(pts, block, 0.5, 2304, 1.0), 2) == [(0, 2)]
 
     def test_singleton_cap_when_eps_n_small(self) -> None:
-        block = Block(np.full(3, 1.0), 0, 2, "R", 0)
-        starts = split_block(block, 0.1, 20, 1.0)  # eps*n/16 < 1
+        block = Block(0, 2, "R", 0)
+        starts = split_block(np.full(3, 1.0), block, 0.1, 20, 1.0)  # eps*n/16 < 1
         assert spans(starts, 2) == [(0, 0), (1, 1), (2, 2)]
 
     def test_starts_index_block_data(self) -> None:
-        block = Block(np.arange(8.0), 3, 6, "R", None)  # count cap eps*n/16 = 2
-        assert split_block(block, 0.5, 64, 1.0) == [3, 5]
+        block = Block(3, 6, "R", None)  # count cap eps*n/16 = 2
+        assert split_block(np.arange(8.0), block, 0.5, 64, 1.0) == [3, 5]
 
 
 class TestBoundarySplit:

@@ -475,6 +475,9 @@ class TestMisalignment:
             misalignment_check(pts, buckets[:-1], S, 1, [0.0])
         with pytest.raises(ValueError, match="tile"):
             misalignment_check(pts, [buckets[0]] + buckets[:-1], S, 1, [0.0])
+        no_rows = WeightedSet(np.zeros((0, 1)), np.zeros(0))
+        with pytest.raises(ValueError, match="tile"):
+            misalignment_check(pts, [], no_rows, 1, [0.0])
         shuffled = WeightedSet(S.points[::-1], S.weights)
         with pytest.raises(ValueError, match="ascending"):
             misalignment_check(pts, buckets, shuffled, 1, [0.0])
