@@ -469,10 +469,13 @@ def _validated_sorted(P_sorted) -> np.ndarray:
 def _line_window_starts(xs: np.ndarray, centers: np.ndarray, keep: int) -> np.ndarray:
     """First index of the inlier window of ``keep`` points at each center.
 
-    ``xs`` is sorted ascending.  At a center c the nearest ``keep``
-    points form one window xs[s : s + keep], found by evicting the
-    farther end point by point, the right end on distance ties.  That
-    eviction removes xs[i] exactly when c - xs[i] > xs[i + keep] - c.
+    ``xs`` is sorted ascending.  At a center c the window xs[s : s + keep]
+    is found by evicting the farther end point by point, the right end on
+    distance ties; that eviction removes xs[i] exactly when c - xs[i] >
+    xs[i + keep] - c.  The window holds the coordinates of outlier_split's
+    inliers, which is all a cost reads, but in a run of equal values at
+    its left edge it keeps the larger indices and outlier_split the
+    smaller: on [0, 0, 1] at c = 1, keep = 2 gives {1, 2} against {0, 2}.
     Rounding is monotone, so this test runs true then false along i in
     float64 as well, and a bisection for its first false index returns
     the eviction's window exactly, in O(log n) steps for all centers.

@@ -18,8 +18,9 @@ module constant read at call time.
 
 Every block and bucket is an index range of the one sorted input, and
 every stage only decides where buckets start: a build cuts the sorted
-points first, then summarises every bucket as (mean, count) in one
-vectorised pass (``bucket_stats`` is that pass on one range).
+points first, then summarises each bucket as a (mean, count) row in one
+vectorised pass.  One path serves every m: at m = 0 the fringes are
+empty and no window edge cuts, so the build is the vanilla one at eps/3.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ DEFAULT_DELTA_CONSTANT = 288.0
 
 @dataclass(frozen=True)
 class Bucket:
-    """A contiguous index range of the sorted dataset with its summary."""
+    """Inclusive index range [l, r] of the sorted dataset; its row is (mean, count)."""
 
     l: int
     r: int
-    count: int
-    mean: float
-    cum_err: float
 
 
 @dataclass(frozen=True)
@@ -93,32 +91,28 @@ def _summarise(pts: np.ndarray, starts) -> tuple[WeightedSet, list[Bucket]]:
     """Coreset rows and buckets of pts cut at the ascending starts (from 0).
 
     Bucket i is pts[starts[i] : starts[i + 1]], the last one running to
-    the end.  One pass: counts from the cuts, means and cum_err from one
-    reduceat each, with the deviations as the only n-length temporary.
+    the end.  Counts come from the cuts and means from one reduceat.
     """
     starts = np.asarray(starts, dtype=np.intp)
     counts = np.diff(starts, append=len(pts))
     means = np.add.reduceat(pts, starts) / counts
-    dev = np.repeat(means, counts)
-    np.subtract(pts, dev, out=dev)
-    errs = np.add.reduceat(np.abs(dev, out=dev), starts)
-    cols = (starts, starts + counts - 1, counts, means, errs)
-    buckets = list(map(Bucket, *(c.tolist() for c in cols)))
+    buckets = list(map(Bucket, starts.tolist(), (starts + counts - 1).tolist()))
     return WeightedSet(means.reshape(-1, 1), counts.astype(np.float64)), buckets
 
 
-def bucket_stats(P_sorted, l: int, r: int) -> Bucket:
-    """Summarise the inclusive index range [l, r] of a sorted array.
+def bucket_stats(P_sorted, l: int, r: int) -> tuple[int, float, float]:
+    """(count, mean, cum_err) of the inclusive index range [l, r] of a sorted array.
 
-    It runs the builders' summary pass, so it returns a build's bucket bit for bit.
+    cum_err is the sum of |x - mean| over the range.  The mean comes from
+    the builders' summary pass, so it equals a build's row bit for bit.
     """
     pts = np.asarray(P_sorted, dtype=np.float64).reshape(-1)
-    l = operator.index(l)
-    r = operator.index(r)
+    l, r = operator.index(l), operator.index(r)
     if not 0 <= l <= r < len(pts):
         raise ValueError(f"bucket range [{l}, {r}] out of bounds for n={len(pts)}")
-    (one,) = _summarise(pts[l : r + 1], [0])[1]
-    return Bucket(l, r, one.count, one.mean, one.cum_err)
+    seg = pts[l : r + 1]
+    mean = float(_summarise(seg, [0])[0].points[0, 0])
+    return r - l + 1, mean, float(np.sum(np.abs(seg - mean)))
 
 
 def _level_edges(eps: float, scale: float, top_level: int) -> np.ndarray:
@@ -308,11 +302,9 @@ def boundary_split(starts, P_sorted, m: int) -> np.ndarray:
     n = len(pts)
     m = operator.index(m)
     cuts = np.asarray(starts, dtype=np.intp)
-    if m > 0:
-        window = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
-        edges = np.concatenate((window, window + n - m))
-        cuts = np.concatenate((cuts, edges[(edges > 0) & (edges < n)]))
-    return np.unique(cuts)
+    window = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
+    edges = np.concatenate((window, window + n - m))
+    return np.unique(np.concatenate((cuts, edges[(edges > 0) & (edges < n)])))
 
 
 @dataclass(frozen=True)
@@ -320,15 +312,15 @@ class Robust1dBuild:
     """Full build record: the coreset plus the buckets behind each row.
 
     Every bucket is an index range of the one sorted input, and so is
-    every fringe block the build cut it from.  The anchors (center,
-    r_max, window) are None when m = 0.
+    every fringe block the build cut it from.  The anchors (the robust
+    median, its inclusive inlier window and radius) are set for every m.
     """
 
     coreset: WeightedSet
     buckets: list[Bucket]
-    center: float | None = None
-    r_max: float | None = None
-    window: tuple[int, int] | None = None
+    center: float
+    r_max: float
+    window: tuple[int, int]
 
 
 def build_robust_1d_full(
@@ -338,7 +330,7 @@ def build_robust_1d_full(
     *,
     allow_small_n: bool = False,
 ) -> Robust1dBuild:
-    """Robust 1-d coreset build returning buckets and anchors alongside."""
+    """Robust 1-d coreset build returning buckets and anchors alongside, for every m."""
     pts = _validated_sorted(P_sorted)
     n = len(pts)
     m = operator.index(m)
@@ -351,8 +343,6 @@ def build_robust_1d_full(
             f"robust 1-d builder needs n >= 4m (n={n}, m={m}); "
             "pass allow_small_n=True to build anyway without guarantees"
         )
-    if m == 0:
-        return Robust1dBuild(*_summarise(pts, _vanilla_buckets(pts, 0, n, eps / 3.0)))
     solve = robust_median_1d(pts, m)
     left, right = solve.inlier_window
     center = float(solve.centers.centers[0, 0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -29,11 +28,12 @@ from rcoreset.baselines import build_hjlw23, build_hllw25, build_uniform
 from rcoreset.core import (
     CenterSet,
     WeightedSet,
+    _as_outlier_count,
     _min_dist_pow_chunks,
+    _split_far,
     _validated_sorted,
     as_points,
     inlier_assignment,
-    outlier_split,
     robust_cost,
     robust_cost_many,
     robust_cost_weighted_many,
@@ -69,7 +69,6 @@ class EvalReport:
     builder: str
     coreset_rows: int
     seed: object = None
-    empirical_error: float | None = None
     per_center_errors: tuple[float, ...] | None = None
     skipped_centers: int = 0
     build_time: float = 0.0
@@ -78,14 +77,10 @@ class EvalReport:
     cost_P: float | None = None
     cost_S: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.per_center_errors is not None and self.empirical_error is not None:
-            peak = max(self.per_center_errors)
-            if not math.isclose(self.empirical_error, peak, rel_tol=1e-12):
-                raise ValueError(
-                    f"empirical_error {self.empirical_error} is not the maximum "
-                    f"per-center error {peak}"
-                )
+    @property
+    def empirical_error(self) -> float | None:
+        """The maximum per-center error, or None for a timing report."""
+        return None if self.per_center_errors is None else max(self.per_center_errors)
 
 
 def draw_candidate_centers(P, k: int, num_centers: int, seed) -> np.ndarray:
@@ -135,7 +130,6 @@ def empirical_error(
         builder=builder,
         coreset_rows=len(S),
         seed=seed,
-        empirical_error=float(np.max(errors)),
         per_center_errors=tuple(float(e) for e in errors),
         skipped_centers=skipped,
     )
@@ -295,6 +289,15 @@ def sweep_size_error(
     )
 
 
+def _nonempty_samples(P_O, S_O: WeightedSet) -> np.ndarray:
+    """P_O as points; raises ValueError naming P_O or S_O if either is empty."""
+    pts = as_points(P_O)
+    for name, size in (("P_O", len(pts)), ("S_O", len(S_O))):
+        if size == 0:
+            raise ValueError(f"{name} is empty")
+    return pts
+
+
 def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> float:
     """Monte-Carlo ball-range deviation of a weighted sample.
 
@@ -306,7 +309,7 @@ def ball_range_check(P_O, S_O: WeightedSet, num_balls: int = 10_000, seed=0) -> 
     memory stays at the kernel's points side and its one reused output
     buffer of at most max(2^20, points) floats (``core._CHUNK_FLOATS``).
     """
-    pts = as_points(P_O)
+    pts = _nonempty_samples(P_O, S_O)
     if num_balls < 1:
         raise ValueError(f"num_balls must be >= 1, got {num_balls}")
     if S_O.dim != pts.shape[1]:
@@ -333,7 +336,7 @@ def ball_range_deviation_1d(P_O, S_O: WeightedSet) -> float:
     is a difference of the two cumulative fraction curves, so the
     maximum is found from running extremes of their gap.
     """
-    pts = as_points(P_O)
+    pts = _nonempty_samples(P_O, S_O)
     if pts.shape[1] != 1 or S_O.dim != 1:
         raise ValueError("exact interval sweep requires 1-d data")
     xs = np.unique(np.concatenate([pts[:, 0], S_O.points[:, 0]]))
@@ -361,31 +364,29 @@ def misalignment_check(
 
     For center c, bucket i holds m_i of P's outliers and its coreset
     row carries outlier weight m_i'; the statistic is Σ_i |m_i − m_i'|.
-    P's outliers come from outlier_split and the rows' outlier weights
-    from inlier_assignment, so ties at equal distance go to the larger
-    index on both sides, as in the robust cost itself.
+    P's outliers are outlier_split's, marked by ``core._split_far`` and
+    counted per bucket by one reduceat over the bucket starts; the rows'
+    outlier weights come from inlier_assignment.  So ties at equal
+    distance go to the larger index on both sides, as in the robust cost.
     """
     pts = _validated_sorted(as_points(P_sorted)[:, 0])
     if len(S) != len(buckets):
         raise ValueError(f"{len(buckets)} buckets but {len(S)} coreset rows")
     n = len(pts)
-    bucket_starts = np.array([b.l for b in buckets], dtype=np.intp)
-    bucket_ends = np.array([b.r for b in buckets], dtype=np.intp)
-    if not np.array_equal(np.r_[bucket_starts, n], np.r_[0, bucket_ends + 1]):
+    starts = np.array([b.l for b in buckets], dtype=np.intp)
+    ends = np.array([b.r for b in buckets], dtype=np.intp)
+    if not np.array_equal(np.r_[starts, n], np.r_[0, ends + 1]):
         raise ValueError("buckets must tile the index range [0, n)")
-    weights = S.weights
-    order = np.argsort(S.points[:, 0], kind="stable")
-    if not np.array_equal(order, np.arange(len(S))):
+    rows = S.points[:, 0]
+    if not (rows[1:] >= rows[:-1]).all():
         raise ValueError("coreset rows must be sorted ascending like their buckets")
+    m = _as_outlier_count(operator.index(m), n, "|P|")
+    points = pts.reshape(-1, 1)
     worst = 0.0
     for c in centers:
         C = CenterSet(np.array([[float(c)]]), z=1)
-        _, out_idx = outlier_split(pts.reshape(-1, 1), C, m)
-        m_i = np.bincount(
-            np.searchsorted(bucket_starts, out_idx, side="right") - 1,
-            minlength=len(buckets),
-        )
-        m_prime = weights - inlier_assignment(S, C, float(m)).kept_weight
+        m_i = np.add.reduceat(_split_far(points, C, m)[0], starts, dtype=np.intp)
+        m_prime = S.weights - inlier_assignment(S, C, float(m)).kept_weight
         worst = max(worst, float(np.sum(np.abs(m_i - m_prime))))
     return worst
 

@@ -139,7 +139,8 @@ def oracle_window_at_center(pts, center: float, keep: int) -> tuple[int, int]:
     """Inlier window [lo, hi] of sorted pts at a center, by eviction.
 
     Evicts the farther end point by point; distance ties evict the
-    right end, matching the canonical outlier tie-break.
+    right end.  The window holds the coordinates of outlier_split's
+    inliers, though in a tied run at its left edge not their indices.
     """
     lo, hi = 0, len(pts) - 1
     for _ in range(len(pts) - keep):

@@ -852,6 +852,24 @@ class TestLineWindows:
             want = [oracle_window_at_center(xs, float(c), keep) for c in centers]
             assert [(int(s), int(s) + keep - 1) for s in got] == want, f"keep={keep}"
 
+    def test_tied_left_edge_keeps_other_indices_than_outlier_split(self):
+        xs = np.array([0.0, 0.0, 1.0])
+        assert _line_window_starts(xs, [1.0], 2).tolist() == [1]
+        assert outlier_split(xs, CenterSet([[1.0]]), 1)[0].tolist() == [0, 2]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_window_holds_the_coordinates_of_outlier_split_inliers(self, seed):
+        # The robust_cost_many line path reads the window in place of the inliers.
+        xs, centers = tie_heavy_line(seed)
+        n = len(xs)
+        drops = {0, n - 1, *np.random.default_rng(seed).integers(0, n, size=3)}
+        for m in sorted(int(q) for q in drops):
+            starts = _line_window_starts(xs, centers, n - m)
+            for s, c in zip(starts.tolist(), centers.tolist()):
+                inliers = outlier_split(xs, CenterSet([[c]]), m)[0]
+                assert np.array_equal(xs[s : s + n - m], np.sort(xs[inliers])), f"c={c}, m={m}"
+
 
 class TestAbsDevSum:
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])

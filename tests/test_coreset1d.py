@@ -74,16 +74,13 @@ def sorted_arrays(draw, min_size: int = 1, max_size: int = 60):
 
 class TestBucketStats:
     def test_three_points(self) -> None:
-        b = bucket_stats([1.0, 2.0, 3.0], 0, 2)
-        assert (b.count, b.mean, b.cum_err) == (3, 2.0, 2.0)
+        assert bucket_stats([1.0, 2.0, 3.0], 0, 2) == (3, 2.0, 2.0)
 
     def test_singleton(self) -> None:
-        b = bucket_stats([5.0], 0, 0)
-        assert (b.count, b.mean, b.cum_err) == (1, 5.0, 0.0)
+        assert bucket_stats([5.0], 0, 0) == (1, 5.0, 0.0)
 
     def test_symmetric_pair(self) -> None:
-        b = bucket_stats([0.0, 4.0], 0, 1)
-        assert (b.count, b.mean, b.cum_err) == (2, 2.0, 4.0)
+        assert bucket_stats([0.0, 4.0], 0, 1) == (2, 2.0, 4.0)
 
     def test_out_of_bounds_rejected(self) -> None:
         with pytest.raises(ValueError, match="out of bounds"):
@@ -95,12 +92,12 @@ class TestBucketStats:
     def test_fields_match_direct_arithmetic(self, pts, data) -> None:
         l = data.draw(st.integers(0, len(pts) - 1), label="l")
         r = data.draw(st.integers(l, len(pts) - 1), label="r")
-        b = bucket_stats(pts, l, r)
+        count, mean, cum_err = bucket_stats(pts, l, r)
         chunk = pts[l : r + 1]
-        assert b.count == r - l + 1
-        assert b.mean == pytest.approx(float(np.mean(chunk)), rel=1e-9)
+        assert count == r - l + 1
+        assert mean == pytest.approx(float(np.mean(chunk)), rel=1e-9)
         expected_err = float(np.sum(np.abs(chunk - np.mean(chunk))))
-        assert b.cum_err == pytest.approx(expected_err, rel=1e-9, abs=1e-12)
+        assert cum_err == pytest.approx(expected_err, rel=1e-9, abs=1e-12)
 
 
 class TestBuildVanilla1d:
@@ -250,11 +247,11 @@ class TestSplitBlock:
         delta_cap = (2.0**level) * eps * eps * n * r_max / 288.0
         count_cap = math.floor(eps * n / 16.0)
         for l, r in ranges:
-            b = bucket_stats(data, l, r)
-            assert b.cum_err <= delta_cap + 1e-12 and b.count <= count_cap
+            count, _, cum_err = bucket_stats(data, l, r)
+            assert cum_err <= delta_cap + 1e-12 and count <= count_cap
         for l, r in ranges[:-1]:
-            grown = bucket_stats(data, l, r + 1)
-            assert grown.cum_err > delta_cap or grown.count > count_cap, (
+            count, _, cum_err = bucket_stats(data, l, r + 1)
+            assert cum_err > delta_cap or count > count_cap, (
                 f"bucket ({l},{r}) is not maximal"
             )
 
@@ -308,10 +305,17 @@ class TestBoundarySplit:
 class TestBuildRobust1d:
     def test_zero_outliers_matches_vanilla_third_eps(self) -> None:
         pts = np.sort(np.random.default_rng(3).normal(0.0, 2.0, 500))
-        S = build_robust_1d(pts, 0, 0.3)
+        full = build_robust_1d_full(pts, 0, 0.3)
+        S = full.coreset
         V = build_vanilla_1d(pts, 0.1)
         np.testing.assert_array_equal(S.points, V.points)
         np.testing.assert_array_equal(S.weights, V.weights)
+        ends = np.cumsum(V.weights).astype(int)
+        vanilla_spans = list(zip((ends - V.weights.astype(int)).tolist(), (ends - 1).tolist()))
+        assert [(b.l, b.r) for b in full.buckets] == vanilla_spans
+        solve = robust_median_1d(pts, 0)
+        assert full.center == float(solve.centers.centers[0, 0])
+        assert full.window == solve.inlier_window
 
     def test_small_n_raises_unless_overridden(self) -> None:
         pts = np.arange(7, dtype=np.float64)
@@ -437,17 +441,17 @@ class TestSummaryPass:
         m = data.draw(st.integers(0, n // 4), label="m")
         eps = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.5]), label="eps")
         build = build_robust_1d_full(pts, m, eps)
-        counts = [b.count for b in build.buckets]
+        counts = [b.r - b.l + 1 for b in build.buckets]
         assert build.coreset.weights.tolist() == counts
         assert sum(counts) == n
-        for b in build.buckets:
+        for b, row in zip(build.buckets, build.coreset.points[:, 0].tolist()):
             count, mean = oracle_bucket_summary(pts, b.l, b.r)
-            assert count == b.count
+            assert count == b.r - b.l + 1
             # Summed in any order, the mean of count values is off by less than
             # count * 2^-52 times their largest magnitude.
             bound = count * 2.0**-52 * float(np.max(np.abs(pts[b.l : b.r + 1])))
-            assert abs(b.mean - mean) <= bound, f"bucket ({b.l},{b.r}): {b.mean!r} vs {mean!r}"
-            assert bucket_stats(pts, b.l, b.r) == b
+            assert abs(row - mean) <= bound, f"bucket ({b.l},{b.r}): {row!r} vs {mean!r}"
+            assert bucket_stats(pts, b.l, b.r)[:2] == (count, row)
 
 
 class TestFullBuildRecord:
@@ -469,5 +473,5 @@ class TestFullBuildRecord:
         pts = np.sort(np.random.default_rng(2).normal(0.0, 1.0, 200))
         build = build_robust_1d_full(pts, 30, 0.2)
         for row, bucket in zip(build.coreset.points[:, 0], build.buckets):
-            assert row == bucket.mean
+            assert row == bucket_stats(pts, bucket.l, bucket.r)[1]
         assert isinstance(build.buckets[0], Bucket)

@@ -20,7 +20,7 @@ from rcoreset.core import (
     robust_cost,
     robust_cost_weighted,
 )
-from rcoreset.coreset1d import bucket_stats, build_robust_1d_full
+from rcoreset.coreset1d import Bucket, build_robust_1d_full
 from rcoreset.evaluation import (
     EvalReport,
     ball_range_check,
@@ -118,14 +118,10 @@ class TestEmpiricalError:
             empirical_error(P, unit_coreset(P.reshape(-1, 1)), m=0, k=1, z=1,
                             num_centers=4, seed=0)
 
-    def test_report_rejects_inconsistent_maximum(self):
-        with pytest.raises(ValueError, match="maximum"):
-            EvalReport(
-                builder="x",
-                coreset_rows=1,
-                empirical_error=0.5,
-                per_center_errors=(0.1, 0.2),
-            )
+    def test_report_maximum_is_derived(self):
+        rep = EvalReport(builder="x", coreset_rows=1, per_center_errors=(0.1, 0.3, 0.2))
+        assert rep.empirical_error == 0.3
+        assert EvalReport(builder="x", coreset_rows=1).empirical_error is None
 
 
 class TestHandExample:
@@ -325,6 +321,16 @@ class TestBallRange:
         with pytest.raises(ValueError, match="num_balls"):
             ball_range_check(P_O, S_O, num_balls=0, seed=0)
 
+    def test_empty_samples_rejected(self):
+        P_O = np.linspace(0.0, 1.0, 20)
+        S_O = unit_coreset(P_O[:5].reshape(-1, 1))
+        no_rows = WeightedSet(np.zeros((0, 1)), np.zeros(0))
+        for check in (ball_range_check, ball_range_deviation_1d):
+            with pytest.raises(ValueError, match="P_O is empty"):
+                check(np.zeros(0), S_O)
+            with pytest.raises(ValueError, match="S_O is empty"):
+                check(P_O, no_rows)
+
     def test_sample_of_another_dimension_rejected(self):
         # 1-d far points against a 2-d sample: the kernel would read only
         # the sample's first column and return a deviation.
@@ -407,7 +413,7 @@ class TestMisalignment:
 
     def test_identity_rows_never_misalign(self):
         pts = np.arange(10.0)
-        buckets = [bucket_stats(pts, i, i) for i in range(10)]
+        buckets = [Bucket(i, i) for i in range(10)]
         S = unit_coreset(pts.reshape(-1, 1))
         for m in (0, 1, 3, 5):
             value = misalignment_check(pts, buckets, S, m,
@@ -451,7 +457,7 @@ class TestMisalignment:
         n = len(xs)
         cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
         bounds = list(zip(np.r_[0, cuts].tolist(), (np.r_[cuts, n] - 1).tolist()))
-        buckets = [bucket_stats(xs, l, r) for l, r in bounds]
+        buckets = [Bucket(l, r) for l, r in bounds]
         rows = xs[[int(rng.integers(l, r + 1)) for l, r in bounds]]
         if rng.random() < 0.5:
             weights = rng.integers(1, 4, size=len(bounds)).astype(float)
@@ -467,7 +473,7 @@ class TestMisalignment:
 
     def test_validation(self):
         pts = np.arange(6.0)
-        buckets = [bucket_stats(pts, i, i) for i in range(6)]
+        buckets = [Bucket(i, i) for i in range(6)]
         S = unit_coreset(pts.reshape(-1, 1))
         with pytest.raises(ValueError, match="sorted"):
             misalignment_check(pts[::-1], buckets, S, 1, [0.0])
