@@ -5,16 +5,17 @@ n - 2m points are compressed by the vanilla 1-d coreset subroutine, and
 the m-point fringes on each side are partitioned into distance blocks
 around the anchors c_L = c* - r_max and c_R = c* + r_max (c* the exact
 robust median, r_max its inlier radius).  Each block is chopped greedily
-into buckets whose cumulative error and size stay below level-scaled
-caps, and cut again at the inlier-window edges of the two boundary
-centers.
+into buckets of at most eps*n/16 points, inner blocks also under a
+level-scaled cumulative-error cap, and cut again at the inlier-window
+edges of the two boundary centers.
 
-The vanilla subroutine reuses the same block/bucket machinery centered
-at the plain median with scale r_bar (the average absolute deviation).
-Its far region is realised as extra levels continuing past the nominal
-top level so that distant mass stays error-capped in proportion to its
-distance.  Both share the cap denominator ``DEFAULT_DELTA_CONSTANT``, a
-module constant read at call time.
+The vanilla subroutine levels its points by the same doubling distances,
+from the plain median with scale r_bar (the average absolute deviation),
+and caps each bucket's count x length, which bounds its cumulative error.
+Its far region is realised as extra levels past the nominal top level,
+so distant mass stays error-capped in proportion to its distance.  Both
+share the cap denominator ``DEFAULT_DELTA_CONSTANT``, a module constant
+read at call time.
 
 Every block and bucket is an index range of the one sorted input, and
 every stage only decides where buckets start: a build cuts the sorted
@@ -91,11 +92,12 @@ def _summarise(pts: np.ndarray, starts) -> tuple[WeightedSet, list[Bucket]]:
     """Coreset rows and buckets of pts cut at the ascending starts (from 0).
 
     Bucket i is pts[starts[i] : starts[i + 1]], the last one running to
-    the end.  Counts come from the cuts and means from one reduceat.
+    the end.  Counts come from the cuts, means from one reduceat clipped
+    to the bucket's range (which holds the exact mean), so rows ascend.
     """
     starts = np.asarray(starts, dtype=np.intp)
     counts = np.diff(starts, append=len(pts))
-    means = np.add.reduceat(pts, starts) / counts
+    means = np.clip(np.add.reduceat(pts, starts) / counts, pts[starts], pts[starts + counts - 1])
     buckets = list(map(Bucket, starts.tolist(), (starts + counts - 1).tolist()))
     return WeightedSet(means.reshape(-1, 1), counts.astype(np.float64)), buckets
 
@@ -115,18 +117,14 @@ def bucket_stats(P_sorted, l: int, r: int) -> tuple[int, float, float]:
     return r - l + 1, mean, float(np.sum(np.abs(seg - mean)))
 
 
-def _level_edges(eps: float, scale: float, top_level: int) -> np.ndarray:
-    """Upper edges of levels 0..top_level: edge[i] = 2^(i+1) * eps * scale."""
-    return (2.0 ** np.arange(1, top_level + 2)) * eps * scale
-
-
 def _classify_levels(dists: np.ndarray, eps: float, scale: float, top_level: int) -> np.ndarray:
     """Level index per distance: level 0 below 2*eps*scale, then doubling.
 
-    Distances at or above the top edge are clamped to the top level
-    (reachable only in degenerate or override regimes).
+    Level i ends at edge 2^(i+1) * eps * scale.  Distances at or above the
+    top edge are clamped to the top level (reachable only in degenerate or
+    override regimes).
     """
-    edges = _level_edges(eps, scale, top_level)
+    edges = (2.0 ** np.arange(1, top_level + 2)) * eps * scale
     return np.minimum(np.searchsorted(edges, dists, side="right"), top_level)
 
 
@@ -160,6 +158,8 @@ def partition_blocks(pts, m: int, center: float, r_max: float, eps: float) -> li
         raise ValueError("r_max must be nonnegative")
     pts = np.asarray(pts, dtype=np.float64).reshape(-1)
     n = len(pts)
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= |P|, got m={m}, |P|={n}")
     top = max(1, math.ceil(math.log2(1.0 / eps)))
     blocks: list[Block] = []
     fringes = ((0, m, center - r_max, "L", "LR"), (max(n - m, m), n, center + r_max, "R", "RL"))
@@ -179,51 +179,22 @@ def partition_blocks(pts, m: int, center: float, r_max: float, eps: float) -> li
     return blocks
 
 
-def _greedy_buckets(
-    pts: np.ndarray,
-    l: int,
-    r: int,
-    delta_cap: float | None,
-    count_cap: int | None,
-    product_cap: float | None,
-) -> list[int]:
-    """Starts of the greedy left-to-right maximal buckets covering pts[l..r].
+def _greedy_starts(l: int, r: int, fits) -> list[int]:
+    """Starts of the greedy left-to-right maximal buckets covering [l, r].
 
-    Feasibility (cum_err, count, count*length below their caps) is
-    monotone when the right end grows, so each maximal bucket is found
-    by binary search.  Singletons are always feasible.  A range's
-    cum_err comes in O(log) from sums of pts - pts[h], accumulated
-    outward from the median index h of [l, r], so it does not depend
-    on where the data sits.
+    fits(a, b) says whether [a, b] may be one bucket; true at b = a and
+    false past its first failure, so binary search finds each bucket's end.
     """
-    seg = pts[l : r + 1]
-    h = (r - l) // 2
-    y = seg - seg[h]
-    F = _sums_outward(y, h)
-
-    def ok(a: int, b: int) -> bool:
-        cnt = b - a + 1
-        if count_cap is not None and cnt > count_cap:
-            return False
-        if product_cap is not None and cnt * (seg[b] - seg[a]) > product_cap:
-            return False
-        if delta_cap is not None:
-            mu = (F[b + 1] - F[a]) / cnt
-            j = min(max(int(y.searchsorted(mu, side="right")), a), b + 1)
-            if _abs_dev_sum(F, a, b + 1, mu, j) > delta_cap:
-                return False
-        return True
-
     out: list[int] = []
-    a, last = 0, r - l
-    while a <= last:
-        out.append(l + a)
-        if ok(a, last):
+    a = l
+    while a <= r:
+        out.append(a)
+        if fits(a, r):
             break
-        lo, hi = a, last  # ok(a, lo) holds, ok(a, hi) fails
+        lo, hi = a, r  # fits(a, lo) holds, fits(a, hi) fails
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if ok(a, mid):
+            if fits(a, mid):
                 lo = mid
             else:
                 hi = mid
@@ -234,17 +205,30 @@ def _greedy_buckets(
 def split_block(pts: np.ndarray, block: Block, eps: float, n: int, r_max: float) -> list[int]:
     """Chop one block into greedy maximal buckets under its level's caps.
 
-    Inner blocks of level i obey cum_err <= 2^i * eps^2 * n * r_max /
-    DEFAULT_DELTA_CONSTANT and count <= eps*n/16 (at least 1); far blocks
-    (level None) obey the count cap alone.  Returns the bucket starts,
-    indices into pts.
+    Every bucket holds at most eps*n/16 points (at least 1), the one cap
+    of a far block (level None), which is cut every that many points.
+    Inner blocks of level i also keep cum_err <= 2^i * eps^2 * n * r_max
+    / DEFAULT_DELTA_CONSTANT, scored in O(log) from sums anchored at the
+    block's median point.  Returns the bucket starts, indices into pts.
     """
+    l, r = block.l, block.r
     count_cap = max(1, int(math.floor(eps * n / 16.0)))
     if block.far:
-        delta_cap = None
-    else:
-        delta_cap = (2.0**block.level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
-    return _greedy_buckets(pts, block.l, block.r, delta_cap, count_cap, None)
+        return list(range(l, r + 1, count_cap))
+    cap = (2.0**block.level) * eps * eps * n * r_max / DEFAULT_DELTA_CONSTANT
+    h = (r - l) // 2
+    y = pts[l : r + 1] - pts[l + h]
+    F = _sums_outward(y, h)
+
+    def fits(a: int, b: int) -> bool:
+        a, e = a - l, b - l + 1
+        if e - a > count_cap:
+            return False
+        mu = (F[e] - F[a]) / (e - a)
+        j = min(max(int(y.searchsorted(mu, side="right")), a), e)
+        return _abs_dev_sum(F, a, e, mu, j) <= cap
+
+    return _greedy_starts(l, r, fits)
 
 
 def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]:
@@ -253,8 +237,9 @@ def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]
     Blocks double in distance from the slice median with scale r_bar =
     average absolute deviation; levels continue past the nominal top so
     every point is distance-proportionally capped.  Each level-i bucket
-    obeys cum_err <= cap_i and count*length <= cap_i with cap_i =
-    2^i * eps^2 * n_sub * r_bar / DEFAULT_DELTA_CONSTANT.
+    is maximal under count*length <= cap_i = 2^i * eps^2 * n_sub * r_bar /
+    DEFAULT_DELTA_CONSTANT, which keeps cum_err <= cap_i / 2: values in a
+    range of length L lie at most L/2 from their mean on average.
     """
     n_sub = hi - lo
     if n_sub <= 0:
@@ -274,7 +259,11 @@ def _vanilla_buckets(pts: np.ndarray, lo: int, hi: int, eps: float) -> list[int]
     out: list[int] = []
     for start, stop in _runs(combined):
         cap = (2.0 ** int(labels[start])) * eps * eps * n_sub * r_bar / DEFAULT_DELTA_CONSTANT
-        out.extend(_greedy_buckets(pts, lo + start, lo + stop, cap, None, cap))
+
+        def fits(a: int, b: int, cap: float = cap) -> bool:
+            return (b - a + 1) * (pts[b] - pts[a]) <= cap
+
+        out.extend(_greedy_starts(lo + start, lo + stop, fits))
     return out
 
 
@@ -301,6 +290,8 @@ def boundary_split(starts, P_sorted, m: int) -> np.ndarray:
     pts = _validated_sorted(P_sorted)
     n = len(pts)
     m = operator.index(m)
+    if not 0 <= m < n:
+        raise ValueError(f"need 0 <= m < |P|, got m={m}, |P|={n}")
     cuts = np.asarray(starts, dtype=np.intp)
     window = _line_window_starts(pts, pts[[m, n - m - 1]], n - m)
     edges = np.concatenate((window, window + n - m))

@@ -30,6 +30,7 @@ from rcoreset.coreset1d import (
     partition_blocks,
     split_block,
 )
+from rcoreset.evaluation import misalignment_check
 from rcoreset.instances import gen_gaussian_clusters
 from rcoreset.solver import robust_median_1d
 
@@ -266,8 +267,9 @@ class TestSplitBlock:
         assert spans(starts, 2) == [(0, 0), (1, 1), (2, 2)]
 
     def test_starts_index_block_data(self) -> None:
-        block = Block(3, 6, "R", None)  # count cap eps*n/16 = 2
-        assert split_block(np.arange(8.0), block, 0.5, 64, 1.0) == [3, 5]
+        # Count cap eps*n/16 = 2; the second far block ends in a one-point chunk.
+        for r, want in ((6, [3, 5]), (9, [3, 5, 7, 9])):
+            assert split_block(np.arange(10.0), Block(3, r, "R", None), 0.5, 64, 1.0) == want
 
 
 class TestBoundarySplit:
@@ -285,6 +287,16 @@ class TestBoundarySplit:
         pts = np.arange(6, dtype=np.float64)
         assert boundary_split([0], pts, 0).tolist() == [0]
         assert boundary_split([0, 3, 4], pts, 0).tolist() == [0, 3, 4]
+
+    def test_m_out_of_range_rejected(self) -> None:
+        # A fringe may hold every point, but both boundary centers need m < n.
+        pts = np.arange(6, dtype=np.float64)
+        for m in (-1, 7):
+            with pytest.raises(ValueError, match=rf"m={m}, \|P\|=6"):
+                partition_blocks(pts, m, 2.5, 1.0, 0.5)
+        for m in (-1, 6, 7):
+            with pytest.raises(ValueError, match=rf"m={m}, \|P\|=6"):
+                boundary_split([0], pts, m)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
@@ -451,7 +463,39 @@ class TestSummaryPass:
             # count * 2^-52 times their largest magnitude.
             bound = count * 2.0**-52 * float(np.max(np.abs(pts[b.l : b.r + 1])))
             assert abs(row - mean) <= bound, f"bucket ({b.l},{b.r}): {row!r} vs {mean!r}"
+            assert pts[b.l] <= row <= pts[b.r], f"bucket ({b.l},{b.r}): row {row!r} outside it"
             assert bucket_stats(pts, b.l, b.r)[:2] == (count, row)
+
+
+class TestVanillaBuckets:
+    @given(lines_with_ties_and_tails(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_buckets_maximal_under_count_times_length(self, pts, data) -> None:
+        n = len(pts)
+        m = data.draw(st.integers(0, (n - 1) // 2), label="m")
+        eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.5]), label="eps")
+        lo, hi = m, n - m
+        starts = coreset1d._vanilla_buckets(pts, lo, hi, eps)
+        med = lo + (hi - lo - 1) // 2
+        dist = np.abs(pts[lo:hi] - pts[med])
+        r_bar = float(np.mean(dist))
+        if r_bar == 0.0:
+            assert starts == [lo]
+            return
+        level = np.searchsorted(2.0 ** np.arange(1, 80) * eps * r_bar, dist, side="right")
+        run = np.where(np.arange(lo, hi) >= med, 100, 0) + level  # one label per (side, level)
+        assert starts[0] == lo and all(a < b for a, b in zip(starts, starts[1:]))
+        for l, r in spans(starts, hi - 1):
+            assert np.all(run[l - lo : r - lo + 1] == run[l - lo]), f"({l},{r}) spans two runs"
+            cap = 2.0 ** level[l - lo] * eps * eps * (hi - lo) * r_bar / 288.0
+            assert (r - l + 1) * (pts[r] - pts[l]) <= cap
+            # Values within L of each other lie L/2 from their mean on average;
+            # rounding moves each |x - mean| by under count * 2^-52 * max|x|.
+            count, _, cum_err = bucket_stats(pts, l, r)
+            slack = count * count * 2.0**-52 * float(np.max(np.abs(pts[l : r + 1])))
+            assert cum_err <= cap / 2 + slack
+            if r + 1 < hi and run[r + 1 - lo] == run[l - lo]:
+                assert (r - l + 2) * (pts[r + 1] - pts[l]) > cap, f"({l},{r}) is not maximal"
 
 
 class TestFullBuildRecord:
@@ -468,6 +512,13 @@ class TestFullBuildRecord:
         assert build.r_max == pytest.approx(
             max(build.center - pts[left], pts[right] - build.center)
         )
+
+    def test_rows_of_tied_buckets_stay_inside_them(self) -> None:
+        # Three 0.1s sum to a mean that rounds above 0.1 unless clipped to the bucket.
+        pts = np.full(5, 0.1)
+        build = build_robust_1d_full(pts, 1, 0.9)
+        assert build.coreset.points[:, 0].tolist() == [0.1] * len(build.buckets)
+        assert misalignment_check(pts, build.buckets, build.coreset, 1, [0.1]) == 0.0
 
     def test_rows_follow_buckets(self) -> None:
         pts = np.sort(np.random.default_rng(2).normal(0.0, 1.0, 200))
