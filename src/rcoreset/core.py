@@ -569,9 +569,10 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     anchor x_a between about the window's 1/3 and 2/3 quantiles
     (``_window_anchors``), give each window's cost from its two ends and
     the center's split point: O(n log n + T log n) time and O(n) memory
-    for every m.  The error stays at rounding relative to the cost
-    because every term is O(cost): sum |x - x_a| <= 4 cost for z = 1
-    and, by Cantelli, sum (x - x_a)^2 <= 3 cost for z = 2.
+    for every m.  The sort is skipped when P already ascends, which one
+    comparison pass decides.  The error stays at rounding relative to
+    the cost because every term is O(cost): sum |x - x_a| <= 4 cost for
+    z = 1 and, by Cantelli, sum (x - x_a)^2 <= 3 cost for z = 2.
 
     Other shapes take each set's minimum over its centers in one reused
     block buffer, from one product with |p|^2 folded in, and partition it
@@ -589,7 +590,10 @@ def robust_cost_many(P, centers, z: int, m: int) -> np.ndarray:
     if keep == 0:
         return np.zeros(T)
     if batch.shape[1:] == (1, 1):
-        return _line_costs(np.sort(points[:, 0]), batch[:, 0, 0], z, keep)
+        xs = points[:, 0]
+        if not (xs[1:] >= xs[:-1]).all():
+            xs = np.sort(xs)
+        return _line_costs(xs, batch[:, 0, 0], z, keep)
     costs = np.empty(T)
     for lo, hi, dmin in _min_dist_pow_chunks(points, batch, z):
         if m:

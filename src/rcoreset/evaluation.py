@@ -6,10 +6,11 @@ from the data.  Sweeps tabulate it per (builder, size, trial) with
 candidate centers shared across builders inside a trial so comparisons
 are paired.  Diagnostics cover the ball-range deviation of outlier
 samples (Monte-Carlo in general dimension, exact in 1-d) and the
-per-bucket outlier-count misalignment of 1-d coresets, computed from
-the definitions of the outlier split and the inlier weights.  The
-speedup table times solving on a coreset against solving on the full
-data, scoring both center sets on the full dataset.
+per-bucket outlier-count misalignment of 1-d coresets, P's side counted
+from each center's inlier window on the sorted line and the rows' side
+from the inlier weights.  The speedup table times solving on a coreset
+against solving on the full data, scoring both center sets on the full
+dataset.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from rcoreset.core import (
     CenterSet,
     WeightedSet,
     _as_outlier_count,
+    _line_window_starts,
     _min_dist_pow_chunks,
-    _split_far,
+    _prepare_center_batch,
     _validated_sorted,
     as_points,
     inlier_assignment,
@@ -358,36 +360,65 @@ def misalignment_check(
     buckets: Sequence[Bucket],
     S: WeightedSet,
     m: int,
-    centers: Sequence[float],
+    centers,
 ) -> float:
     """Max over centers of the per-bucket outlier-count misalignment.
 
     For center c, bucket i holds m_i of P's outliers and its coreset
     row carries outlier weight m_i'; the statistic is Σ_i |m_i − m_i'|.
-    P's outliers are outlier_split's, marked by ``core._split_far`` and
-    counted per bucket by one reduceat over the bucket starts; the rows'
-    outlier weights come from inlier_assignment.  So ties at equal
-    distance go to the larger index on both sides, as in the robust cost.
+    ``centers`` is a list of floats or any single-center batch that
+    ``core._prepare_center_batch`` reads with k = 1, such as the
+    (T, 1, 1) batch of ``draw_candidate_centers``.
+
+    P's outliers are outlier_split's, counted from index ranges.  At c
+    its inliers hold the coordinates of the window pts[s : s + keep]
+    (``core._line_window_starts``, keep = n − m), so the outliers are
+    [0, s) ∪ [s + keep, n), except where a run of equal values [a, b)
+    straddles the window's left edge.  outlier_split keeps that run's
+    smallest indices, so the outliers are [0, a) ∪ [b − (s − a), b) ∪
+    [s + keep, n).  Evicting the run's left part puts it below c, and
+    pts[s + keep] at least as far above c, so b <= s + keep.
+    A bucket's m_i is its overlap with those ranges, the difference of
+    their running count at its two ends: O(n) once to check the input,
+    then O(log n + B) per center for B buckets.  The window follows
+    outlier_split's dist^z order while squared distances neither
+    overflow nor leave the normal range.  The rows' outlier weights
+    come from inlier_assignment.  So ties at equal distance go to the
+    larger index on both sides, as in the robust cost.
     """
-    pts = _validated_sorted(as_points(P_sorted)[:, 0])
+    points = as_points(P_sorted)
+    if points.shape[1] != 1:
+        raise ValueError("misalignment check requires 1-d data")
+    pts = _validated_sorted(points[:, 0])
     if len(S) != len(buckets):
         raise ValueError(f"{len(buckets)} buckets but {len(S)} coreset rows")
     n = len(pts)
     starts = np.array([b.l for b in buckets], dtype=np.intp)
     ends = np.array([b.r for b in buckets], dtype=np.intp)
-    if not np.array_equal(np.r_[starts, n], np.r_[0, ends + 1]):
+    cuts = np.r_[starts, n]
+    if not np.array_equal(cuts, np.r_[0, ends + 1]):
         raise ValueError("buckets must tile the index range [0, n)")
     rows = S.points[:, 0]
     if not (rows[1:] >= rows[:-1]).all():
         raise ValueError("coreset rows must be sorted ascending like their buckets")
     m = _as_outlier_count(operator.index(m), n, "|P|")
-    points = pts.reshape(-1, 1)
+    batch = _prepare_center_batch(centers, 1)
+    if batch.shape[1] != 1:
+        raise ValueError("misalignment check needs one center per set (k = 1)")
+    cs = batch[:, 0, 0]
+    keep = n - m
+    s = a = b = np.full(len(cs), n)  # keep = 0: every point is an outlier
+    if keep:
+        s = _line_window_starts(pts, cs, keep)
+        a, b = (np.searchsorted(pts, pts[s], side=side) for side in ("left", "right"))
     worst = 0.0
-    for c in centers:
-        C = CenterSet(np.array([[float(c)]]), z=1)
-        m_i = np.add.reduceat(_split_far(points, C, m)[0], starts, dtype=np.intp)
+    for c, st, at, bt in zip(cs, s, a, b):
+        # Outliers before each cut, from [0, a), [b - (s - a), b) and [s + keep, n).
+        below = (np.minimum(cuts, at) + np.clip(cuts - (bt - st + at), 0, st - at)
+                 + np.maximum(cuts - (st + keep), 0))
+        C = CenterSet(np.array([[c]]), z=1)
         m_prime = S.weights - inlier_assignment(S, C, float(m)).kept_weight
-        worst = max(worst, float(np.sum(np.abs(m_i - m_prime))))
+        worst = max(worst, float(np.sum(np.abs(np.diff(below) - m_prime))))
     return worst
 
 

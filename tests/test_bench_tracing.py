@@ -97,3 +97,26 @@ def test_nd_registry_calls_its_builders_through_the_rebound_names() -> None:
         "baselines.build_hjlw23",
         "baselines.build_uniform",
     }
+
+
+def test_misalignment_check_scores_rows_through_the_rebound_names() -> None:
+    # line-1d's per-layer figures attribute P's side to misalignment_check
+    # itself and the rows' side to one inlier_assignment per center.
+    tracing = _tracing()
+    for module in {mod for mod, *_ in tracing.TARGETS}:
+        importlib.import_module(f"rcoreset.{module}")
+    coreset1d = importlib.import_module("rcoreset.coreset1d")
+    evaluation = importlib.import_module("rcoreset.evaluation")
+    pts = np.sort(np.random.default_rng(5).normal(size=2000))
+    build = coreset1d.build_robust_1d_full(pts, 100, 0.2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        evaluation.misalignment_check(pts, build.buckets, build.coreset, 100, [-0.5, 0.0, 1.5])
+    finally:
+        tracer.uninstall()
+    (check,) = [s for s in tracer.spans if s.name == "evaluation.misalignment_check"]
+    assert check.counts == {"centers": 3}
+    children = [s.name for s in tracer.spans if s.parent == check.id]
+    assert children == ["core.inlier_assignment"] * 3
+    assert not [s for s in tracer.spans if s.name == "core.outlier_split"]

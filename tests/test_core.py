@@ -949,6 +949,19 @@ class TestLineCosts:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("z", [1, 2])
+    def test_sorted_line_costs_as_its_permutation(self, z):
+        # A sorted line skips the sort; the costs must not notice.
+        rng = np.random.default_rng(13)
+        xs = np.sort(np.concatenate([rng.normal(size=3000), rng.uniform(-1e3, 1e3, 60)]))
+        shuffled = rng.permutation(xs)
+        before = xs.copy()
+        centers = rng.choice(xs, 40).reshape(-1, 1, 1)
+        for m in (0, 60, 900, 2000):
+            got = robust_cost_many(xs.reshape(-1, 1), centers, z, m)
+            assert np.array_equal(got, robust_cost_many(shuffled, centers, z, m)), f"m={m}"
+            assert np.array_equal(xs, before)
+
+    @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e8])
     def test_points_on_the_center_cost_exactly_zero(self, offset, z):
         rng = np.random.default_rng(7)

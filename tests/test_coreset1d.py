@@ -48,9 +48,7 @@ def misalignment(build, pts: np.ndarray, center: float, m: int) -> float:
     """Sum over buckets of |#P-outliers in bucket - S-outlier weight of its row|."""
     _, out_idx = outlier_split(pts, CenterSet([[center]], z=1), m)
     his = np.array([b.r for b in build.buckets])
-    per_bucket = np.zeros(len(build.buckets))
-    for i in out_idx:
-        per_bucket[np.searchsorted(his, i)] += 1.0
+    per_bucket = np.bincount(np.searchsorted(his, out_idx), minlength=len(his)).astype(float)
     kept = inlier_assignment(build.coreset, CenterSet([[center]], z=1), m).kept_weight
     return float(np.sum(np.abs(per_bucket - (build.coreset.weights - kept))))
 
@@ -381,6 +379,21 @@ class TestBuildRobust1d:
             centers = rng.choice(pts, 100, replace=False)
             worst = max(misalignment(build, pts, float(c), m) for c in centers)
             assert worst <= eps * n / 4.0, f"n={n} m={m}: misalignment {worst}"
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    @pytest.mark.parametrize("frac", [0.01, 0.2])
+    def test_misalignment_check_equals_outlier_split_counts(self, frac, decimals) -> None:
+        # The line-1d instances; rounding to 2 decimals puts long tied runs
+        # at the windows' left edges.
+        n = 200_000
+        m = int(round(frac * n))
+        P, _ = gen_gaussian_clusters(n, 1, 1, m, seed=(27, 0, int(frac * 100)))
+        pts = np.sort(P[:, 0] if decimals is None else np.round(P[:, 0], decimals))
+        build = build_robust_1d_full(pts, m, 0.05)
+        centers = np.random.default_rng(27).choice(pts, 20, replace=False)
+        for c in centers:
+            want = misalignment(build, pts, float(c), m)
+            assert misalignment_check(pts, build.buckets, build.coreset, m, [c]) == want, c
 
     def test_bucket_count_bound_over_grid(self) -> None:
         rng = np.random.default_rng(5)

@@ -471,6 +471,65 @@ class TestMisalignment:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
                                        err_msg=f"c={c}, m={m}, bounds={bounds}")
 
+    def test_all_outliers_counts_bucket_sizes(self):
+        # m = n leaves an empty window: every point is an outlier.
+        pts = np.arange(6.0)
+        bounds = [(0, 1), (2, 5)]
+        buckets = [Bucket(l, r) for l, r in bounds]
+        for weights, want in (([2.0, 4.0], 0.0), ([3.0, 3.0], 2.0)):
+            S = WeightedSet([0.5, 3.5], weights)
+            for c in (-1.0, 0.0, 2.5, 9.0):
+                got = misalignment_check(pts, buckets, S, 6, [c])
+                assert got == want == oracle_misalignment(pts, bounds, [0.5, 3.5], weights, 6, c)
+
+    def test_bucket_cut_inside_the_run_at_the_window_left_edge(self):
+        # At c = 1 the window of 2 is pts[1:3], but outlier_split keeps
+        # index 0 of the tied run and drops index 1: m_i = [0, 1].
+        pts = np.array([0.0, 0.0, 1.0])
+        bounds = [(0, 0), (1, 2)]
+        S = WeightedSet([0.0, 0.5], [1.0, 2.0])  # the row at 0.0 drops its unit: m' = [1, 0]
+        got = misalignment_check(pts, [Bucket(l, r) for l, r in bounds], S, 1, [1.0])
+        assert got == 2.0 == oracle_misalignment(pts, bounds, [0.0, 0.5], [1.0, 2.0], 1, 1.0)
+
+    @pytest.mark.parametrize("pts", [[0.0, 0.0, 0.0, 2.0, 2.0, 2.0],
+                                     [0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0]])
+    def test_center_equidistant_from_two_tied_runs(self, pts):
+        # Both runs sit at distance 1 from c = 1; ties drop the larger
+        # indices first, so the window's left run straddles its edge.
+        pts = np.array(pts)
+        n = len(pts)
+        rng = np.random.default_rng(5)
+        for cuts in ([1, 2, 4], [2, 5], [1, 3, 4, 5], list(range(1, n))):
+            bounds = list(zip([0, *cuts], [c - 1 for c in cuts] + [n - 1]))
+            buckets = [Bucket(l, r) for l, r in bounds]
+            rows = pts[[l for l, _ in bounds]]
+            weights = rng.integers(1, 4, len(bounds)).astype(float)
+            for m in range(0, min(n, int(weights.sum())) + 1):
+                got = misalignment_check(pts, buckets, WeightedSet(rows, weights), m, [1.0])
+                want = oracle_misalignment(pts, bounds, rows, weights, m, 1.0)
+                assert got == want, f"cuts={cuts}, m={m}"
+
+    def test_center_batches_and_lists_agree(self):
+        pts, build = self.make_build()
+        batch = draw_candidate_centers(pts, 1, 5, seed=2)
+        assert batch.shape == (5, 1, 1)
+        args = (pts, build.buckets, build.coreset, 100)
+        want = misalignment_check(*args, [float(c) for c in batch[:, 0, 0]])
+        assert misalignment_check(*args, batch) == want
+        assert misalignment_check(*args, batch[:, 0, :]) == want
+
+    def test_center_validation(self):
+        pts = np.arange(6.0)
+        buckets = [Bucket(i, i) for i in range(6)]
+        S = unit_coreset(pts.reshape(-1, 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="centers contain non-finite coordinates"):
+                misalignment_check(pts, buckets, S, 1, [0.0, bad])
+        with pytest.raises(ValueError, match="one center per set"):
+            misalignment_check(pts, buckets, S, 1, np.zeros((3, 2, 1)))
+        with pytest.raises(ValueError, match="requires 1-d data"):
+            misalignment_check(np.column_stack([pts, -pts]), buckets, S, 1, [0.0])
+
     def test_validation(self):
         pts = np.arange(6.0)
         buckets = [Bucket(i, i) for i in range(6)]
